@@ -18,6 +18,8 @@ SERVE_R = 3
 #: ``R`` of the ``--dist`` command.
 DIST_R = 8
 SWEEP_R_VALUES = (2, 3, 4, 5)
+#: New serve-ingest documents per second of measurement the pool is sized for.
+INGEST_NEW_PER_S = 20
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,6 @@ class Scale:
     resident_n: int
     resident_per_kind: int
     ingest_n: int
-    #: New ingest documents per second of measurement the pool is sized for.
-    ingest_new_per_s: float
     setup_reps: int
 
 
@@ -42,7 +42,6 @@ FULL = Scale(
     resident_n=2000,
     resident_per_kind=8,
     ingest_n=1000,
-    ingest_new_per_s=20.0,
     setup_reps=3,
 )
 
@@ -54,7 +53,6 @@ TINY = Scale(
     resident_n=60,
     resident_per_kind=2,
     ingest_n=40,
-    ingest_new_per_s=20.0,
     setup_reps=2,
 )
 

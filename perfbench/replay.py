@@ -2,10 +2,11 @@
 
 It replays each workload's inputs through the public functions of each
 layer (``io``, ``core``, ``transforms``, ``algo``, ``distributed``,
-``engine``, ``serve``) and times those calls from here, with spans in the
-``repro.obs`` trace schema.  Spans inside ``src/`` are not used.  The
-replay is single-threaded, because the program's obs span stack is
-process-global.
+``engine``, ``serve``) and times those calls from here, with
+``repro.obs`` spans named ``<scope>.<layer>``.  The program's own spans
+nest inside them and are not read: a layer's time is its span's wall time
+minus its benchmark-named children only.  The replay is single-threaded,
+because the program's obs span stack is process-global.
 
 Every per-layer metric is emitted by every traced run, whichever
 ``--workload`` it was started for: a metric's name carries the scope it
@@ -15,8 +16,8 @@ operation: per command for the cli scopes, per request (the mean over the
 workload's instances) for the serve scopes.
 
 The replay runs four times: twice untimed with the program's obs counters
-on (the counts must repeat exactly), once with the span recorder off and
-once with it on (their wall-time difference is the tracing overhead).
+on (the counts must repeat exactly), once with obs off and once with it on
+(their wall-time difference is the tracing overhead).
 serve-resident's replay covers its first 12 instances, four of each kind.
 """
 
@@ -49,10 +50,10 @@ from inputs import (
     resident_order,
     sweep_seed,
 )
+from repro import obs
 from util import (
     ROOT,
     Gate,
-    SpanRecorder,
     calibrate,
     log,
     median,
@@ -105,7 +106,7 @@ RESIDENT_REPLAYED = 12
 LIVE_SECONDS = 3.0
 
 
-def solve_stages(rec: SpanRecorder, scope: str, instance, R: int, **attrs):
+def solve_stages(scope: str, instance, R: int, **attrs):
     """``LocalMaxMinSolver(R).solve`` replayed stage by stage; returns the solution."""
     from repro.algo.general_solver import LocalMaxMinSolver
     from repro.algo.kernels import batched_upper_bounds, g_recursion_kernel, output_kernel, smooth_bounds_kernel
@@ -114,25 +115,25 @@ def solve_stages(rec: SpanRecorder, scope: str, instance, R: int, **attrs):
     from repro.transforms.pipeline import to_special_form
 
     inner = LocalMaxMinSolver(R=R).inner
-    with rec.span(f"{scope}.core.preprocess_s", **attrs):
+    with obs.span(f"{scope}.core.preprocess_s", **attrs):
         pre = preprocess(instance)
     clean = pre.instance
     if pre.optimum_is_zero or pre.optimum_is_unbounded or clean.num_agents == 0 or clean.delta_I <= 1:
         raise RuntimeError(f"{scope}: degenerate instance {instance.name}; the replay covers the local path only")
-    with rec.span(f"{scope}.transforms.to_special_form_s", **attrs):
+    with obs.span(f"{scope}.transforms.to_special_form_s", **attrs):
         transform = None if clean.is_special_form() else to_special_form(clean)
     special = clean if transform is None else transform.transformed
-    with rec.span(f"{scope}.core.compile_s", **attrs):
+    with obs.span(f"{scope}.core.compile_s", **attrs):
         comp = special.compiled()
-    with rec.span(f"{scope}.algo.upper_bounds_s", **attrs):
+    with obs.span(f"{scope}.algo.upper_bounds_s", **attrs):
         t = batched_upper_bounds(comp, inner.r, method=inner.tu_method, tol=inner.tu_tol)
-    with rec.span(f"{scope}.algo.smooth_s", **attrs):
+    with obs.span(f"{scope}.algo.smooth_s", **attrs):
         s = smooth_bounds_kernel(comp, t, inner.r)
-    with rec.span(f"{scope}.algo.g_recursion_s", **attrs):
+    with obs.span(f"{scope}.algo.g_recursion_s", **attrs):
         g_plus, g_minus = g_recursion_kernel(comp, s, inner.r)
-    with rec.span(f"{scope}.algo.output_s", **attrs):
+    with obs.span(f"{scope}.algo.output_s", **attrs):
         x = output_kernel(g_plus, g_minus, R)
-    with rec.span(f"{scope}.algo.finish_s", **attrs):
+    with obs.span(f"{scope}.algo.finish_s", **attrs):
         mapped = Solution.from_agent_array(special, x, label=f"local-R{R}")
         if transform is not None:
             mapped = transform.map_back(mapped, label=f"local-R{R}")
@@ -165,15 +166,15 @@ class Inputs:
 
 
 def scope_cli_solve(scope: str):
-    def run(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
+    def run(inp: Inputs, gate: Gate) -> Dict[str, float]:
         from repro.io.serialization import instance_digest, instance_from_json, solution_to_json
 
-        with rec.span(f"{scope}.io.parse_s"):
+        with obs.span(f"{scope}.io.parse_s"):
             instance = instance_from_json(inp.text[scope])
-        with rec.span(f"{scope}.io.digest_s"):
+        with obs.span(f"{scope}.io.digest_s"):
             instance_digest(instance)
-        solution = solve_stages(rec, scope, instance, 3)
-        with rec.span(f"{scope}.io.write_s"):
+        solution = solve_stages(scope, instance, 3)
+        with obs.span(f"{scope}.io.write_s"):
             solution_to_json(solution)
         want = inp.cli_refs.small if scope == "small" else inp.cli_refs.large
         gate.record(values_equal(reference_values(solution), want), f"replay {scope}: stages differ from solve")
@@ -182,46 +183,46 @@ def scope_cli_solve(scope: str):
     return run
 
 
-def scope_dist(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
+def scope_dist(inp: Inputs, gate: Gate) -> Dict[str, float]:
     from repro.distributed import ResilientLocalSolver
     from repro.io.serialization import instance_from_json, solution_to_json
 
-    with rec.span("dist.io.parse_s"):
+    with obs.span("dist.io.parse_s"):
         instance = instance_from_json(inp.text["sf"])
-    with rec.span("dist.distributed.run_s"):
+    with obs.span("dist.distributed.run_s"):
         solution, result = ResilientLocalSolver(R=DIST_R, faults=dist_fault_plan()).solve(instance)
-    with rec.span("dist.io.write_s"):
+    with obs.span("dist.io.write_s"):
         solution_to_json(solution)
     gate.record(values_equal(reference_values(solution), inp.cli_refs.dist), "replay dist: values differ")
     gate.record(result.retransmits > 0, "replay dist: the injected loss caused no retransmission")
     return {}
 
 
-def scope_sweep(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
+def scope_sweep(inp: Inputs, gate: Gate) -> Dict[str, float]:
     from repro.algo.safe_algorithm import SafeAlgorithm
     from repro.core.lp import solve_maxmin_lp
     from repro.generators import random_instance
     from repro.io.serialization import instance_digest, instance_from_json, instance_to_json
 
     seed = sweep_seed(inp.seed)
-    with rec.span("sweep.generators_s"):
+    with obs.span("sweep.generators_s"):
         instances = [random_instance(n, delta_I=3, delta_K=3, seed=seed) for n in inp.scale.sweep_sizes]
     for instance in instances:
-        with rec.span("sweep.io.digest_s"):
+        with obs.span("sweep.io.digest_s"):
             text = instance_to_json(instance)
             instance_digest(text)
-        with rec.span("sweep.io.parse_s"):
+        with obs.span("sweep.io.parse_s"):
             worker_copy = instance_from_json(text)
-        with rec.span("sweep.core.lp_s"):
+        with obs.span("sweep.core.lp_s"):
             solve_maxmin_lp(worker_copy)
         for R in SWEEP_R_VALUES:
-            solve_stages(rec, "sweep", worker_copy, R)
-        with rec.span("sweep.algo.safe_s"):
+            solve_stages("sweep", worker_copy, R)
+        with obs.span("sweep.algo.safe_s"):
             SafeAlgorithm().solve_with_certificate(worker_copy)
     return {}
 
 
-def engine_step(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
+def engine_step(inp: Inputs, gate: Gate) -> Dict[str, float]:
     """The sweep's batch through the engine (two forked workers), then its cache.
 
     Run once, outside the four replay passes: it is the slowest part of the
@@ -235,7 +236,7 @@ def engine_step(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
     instances = [random_instance(n, delta_I=3, delta_K=3, seed=seed) for n in inp.scale.sweep_sizes]
     cache_dir = inp.work / "replay-sweep-cache"
     shutil.rmtree(cache_dir, ignore_errors=True)
-    with rec.span("sweep.engine.run_batch_s"):
+    with obs.span("sweep.engine.run_batch_s"):
         rows, batch = run_ratio_sweep_batch(
             instances, R_values=SWEEP_R_VALUES, include_safe=True, jobs=2, cache_dir=str(cache_dir)
         )
@@ -247,10 +248,10 @@ def engine_step(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
     cache = ResultCache(cache_dir)
     keys = [job.spec.cache_key("perfbench") for job in batch.results]
     for key, job in zip(keys, batch.results):
-        with rec.span("sweep.engine.cache_put_s"):
+        with obs.span("sweep.engine.cache_put_s"):
             cache.put(key, job.records)
     for key in keys:
-        with rec.span("sweep.engine.cache_get_s"):
+        with obs.span("sweep.engine.cache_get_s"):
             cache.get(key)
     shutil.rmtree(cache_dir, ignore_errors=True)
     job_time = sum(float((job.metrics or {}).get("elapsed_s", 0.0)) for job in batch.results)
@@ -261,7 +262,7 @@ def engine_step(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
     }
 
 
-def scope_resident(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
+def scope_resident(inp: Inputs, gate: Gate) -> Dict[str, float]:
     from repro.algo.general_solver import LocalMaxMinSolver
     from repro.io.serialization import instance_digest, instance_from_json
     from repro.serve import InstanceRegistry
@@ -270,26 +271,26 @@ def scope_resident(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, floa
     solver = LocalMaxMinSolver(R=SERVE_R)
     warm = []
     for (kind, doc), want in list(zip(inp.resident, inp.resident_refs))[:RESIDENT_REPLAYED]:
-        with rec.span("resident.io.parse_s"):
+        with obs.span("resident.io.parse_s"):
             instance = instance_from_json(doc)
-        with rec.span("resident.serve.admit_s"):
+        with obs.span("resident.serve.admit_s"):
             registry.admit_instance(instance)
-        with rec.span("resident.io.digest_s"):
+        with obs.span("resident.io.digest_s"):
             instance_digest(instance)
         solver.solve(instance)  # the first request: preprocess and transform get cached
-        solution = solve_stages(rec, "resident", instance, SERVE_R, kind=kind)
+        solution = solve_stages("resident", instance, SERVE_R, kind=kind)
         gate.record(values_equal(reference_values(solution), want), f"replay resident {kind}: values differ")
         warm.append(instance)
     rng = random.Random(inp.seed)
     order = list(range(len(warm)))
     rng.shuffle(order)
     for a, b in zip(order[0::2], order[1::2]):
-        with rec.span("resident.serve.solve_many_s"):
+        with obs.span("resident.serve.solve_many_s"):
             solver.solve_many([warm[a], warm[b]])
     return {}
 
 
-def scope_ingest(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]:
+def scope_ingest(inp: Inputs, gate: Gate) -> Dict[str, float]:
     from repro.algo.general_solver import LocalMaxMinSolver
     from repro.engine.cache import ResultCache
     from repro.io.serialization import instance_digest, instance_from_json
@@ -300,24 +301,24 @@ def scope_ingest(rec: SpanRecorder, inp: Inputs, gate: Gate) -> Dict[str, float]
     shutil.rmtree(cache_dir, ignore_errors=True)
     cache = ResultCache(cache_dir)
     for k, (doc, want) in enumerate(zip(inp.ingest, inp.ingest_refs)):
-        with rec.span("ingest.io.parse_s"):
+        with obs.span("ingest.io.parse_s"):
             instance = instance_from_json(doc)
-        with rec.span("ingest.serve.admit_s"):
+        with obs.span("ingest.serve.admit_s"):
             entry = registry.admit_instance(instance)
-        with rec.span("ingest.io.digest_s"):
+        with obs.span("ingest.io.digest_s"):
             instance_digest(instance)
-        with rec.span("ingest.engine.cache_get_s"):
+        with obs.span("ingest.engine.cache_get_s"):
             cache.get(entry.digest)
-        solution = solve_stages(rec, "ingest", instance, SERVE_R)
+        solution = solve_stages("ingest", instance, SERVE_R)
         values = reference_values(solution)
         gate.record(values_equal(values, want), f"replay ingest {k}: values differ")
         record = {"result": {"utility": solution.utility(), "values": values}, "meta": {"algorithm": "local-R3"}}
-        with rec.span("ingest.engine.cache_put_s"):
+        with obs.span("ingest.engine.cache_put_s"):
             cache.put(entry.digest, [record])
     solver = LocalMaxMinSolver(R=SERVE_R)
     for a, b in zip(inp.ingest[0::2], inp.ingest[1::2]):
         pair = [instance_from_json(a), instance_from_json(b)]
-        with rec.span("ingest.serve.solve_many_s"):
+        with obs.span("ingest.serve.solve_many_s"):
             solver.solve_many(pair)
     shutil.rmtree(cache_dir, ignore_errors=True)
     return {}
@@ -352,7 +353,7 @@ def counted_scopes(inp: Inputs) -> Dict[str, Dict[str, float]]:
     """Program counters per scope, with obs on and nothing timed."""
     out = {}
     for scope, fn in SCOPES:
-        _, counters = _rollup()(lambda: fn(SpanRecorder(enabled=False), inp, Gate()))
+        _, counters = _rollup()(lambda: fn(inp, Gate()))
         out[scope] = {name: counters.get(source, 0) for name, source in REPEAT_COUNTERS.items()}
     return out
 
@@ -385,8 +386,11 @@ def live(inp: Inputs, gate: Gate) -> Dict[str, Dict[str, float]]:
     # serve-resident
     server = serving.Server(inp.work, [], "trace-resident")
     try:
-        digests = [serving.admit(server, doc) for _, doc in inp.resident]
+        digests, warm = serving.admit_warm(server, [doc for _, doc in inp.resident])
         want = dict(zip(digests, inp.resident_refs))
+        for digest, status, raw in warm:
+            problem = serving.check_solve(status, raw, want[digest])
+            gate.check(not problem, f"live resident warm-up solve: {problem}")
         order = resident_order(inp.seed, digests, 1_000_000)
         bodies = {d: request_body(digest=d) for d in digests}
 
@@ -395,8 +399,9 @@ def live(inp: Inputs, gate: Gate) -> Dict[str, Dict[str, float]]:
         def on_resident(i, status, raw, latency):
             answers.append((i, status, raw))
 
+        before = server.metrics()
         lat, _ = serving.closed_loop(lambda i: server.post(bodies[order[i]]), on_resident, LIVE_SECONDS)
-        out["resident"] = _shares(server.metrics(), lat)
+        out["resident"] = _shares(before, server.metrics(), lat)
     finally:
         server.stop()
     for i, status, raw in answers:
@@ -417,8 +422,9 @@ def live(inp: Inputs, gate: Gate) -> Dict[str, Dict[str, float]]:
         def on_ingest(i, status, raw, latency):
             answers.append((i, status, raw))
 
+        before = server.metrics()
         lat, _ = serving.closed_loop(lambda i: server.post(request_body(doc_text=pool[order[i]])), on_ingest, LIVE_SECONDS)
-        out["ingest"] = _shares(server.metrics(), lat)
+        out["ingest"] = _shares(before, server.metrics(), lat, ingest=True)
     finally:
         server.stop()
         shutil.rmtree(cache_dir, ignore_errors=True)
@@ -431,15 +437,21 @@ def live(inp: Inputs, gate: Gate) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def _shares(snapshot: dict, latencies: List[float]) -> Dict[str, float]:
-    counters = snapshot["counters"]
-    admitted = max(1, counters.get("serve.admitted", 0))
-    return {
+def _shares(before: dict, after: dict, latencies: List[float], ingest: bool = False) -> Dict[str, float]:
+    """p50 and shares of the live loop's requests, from ``/metrics`` around it.
+
+    Cache hits and evictions are ingest-only: serve-resident runs without a
+    result cache and admits fewer instances than its registry holds.
+    """
+    out = {
         "serve.p50_ms": 1000.0 * median(latencies),
-        "serve.coalesced_share": counters.get("serve.coalesced_requests", 0) / admitted,
-        "serve.cache_hit_share": counters.get("serve.cache_hits", 0) / admitted,
-        "serve.evictions": snapshot["registry"]["evictions"],
+        "serve.coalesced_share": serving.coalesced_share(before["counters"], after["counters"], len(latencies)),
     }
+    if ingest:
+        hits = after["counters"].get("serve.cache_hits", 0) - before["counters"].get("serve.cache_hits", 0)
+        out["serve.cache_hit_share"] = hits / len(latencies)
+        out["serve.evictions"] = after["registry"]["evictions"] - before["registry"]["evictions"]
+    return out
 
 
 def import_time(work: Path) -> float:
@@ -483,20 +495,20 @@ def run(scale: Scale, seed: int, workload: str):
 
         # Each scope runs untraced and traced back to back, so both sides of
         # the overhead see the same machine; the order alternates by scope.
-        rec = SpanRecorder()
+        origin = time.perf_counter()
+        snaps: List[Tuple[float, dict]] = []
         extras: Dict[str, Dict[str, float]] = {}
         untraced = traced = 0.0
         for k, (scope, fn) in enumerate(SCOPES):
             for side in (("plain", "traced") if k % 2 == 0 else ("traced", "plain")):
                 start = time.perf_counter()
                 if side == "plain":
-                    fn(SpanRecorder(enabled=False), inp, Gate())
+                    fn(inp, Gate())
                     untraced += time.perf_counter() - start
                 else:
-                    with rec.span(f"{scope}.replay"):
-                        extras[scope] = fn(rec, inp, gate)
+                    extras[scope] = traced_call(f"{scope}.replay", lambda: fn(inp, gate), origin, snaps)
                     traced += time.perf_counter() - start
-        extras["sweep"] = engine_step(rec, inp, gate)
+        extras["sweep"] = traced_call(None, lambda: engine_step(inp, gate), origin, snaps)
 
         for k in range(2):
             counts[k]["ingest"].update(counted_ingest(inp, gate))
@@ -505,21 +517,71 @@ def run(scale: Scale, seed: int, workload: str):
         serve = live(inp, gate)
     calib.append(calibrate())
 
-    payload = rec.payload(meta={"workload": workload, "seed": seed})
+    payload = merged_trace(snaps, {"workload": workload, "seed": seed})
     validate_trace(json.loads(json.dumps(payload)))
-    self_times = rec.self_times()
-    metrics = layer_metrics(scale, self_times, rec, counts[0], extras, serve, walls, imp)
+    spans = payload["spans"]
+    metrics = layer_metrics(scale, bench_self_times(spans), spans, counts[0], extras, serve, walls, imp)
     metrics["bench.trace_overhead_s"] = (traced - untraced, "s")
     metrics["bench.calib_s"] = (max(calib), "s")
     table(
-        f"traced replay (seed {seed}; {len(rec.spans)} spans, trace schema valid)",
+        f"traced replay (seed {seed}; {len(spans)} spans, trace schema valid)",
         [(name, value, unit, "") for name, (value, unit) in metrics.items()],
     )
     log(f"trace: untraced replay {untraced:.3f} s, traced {traced:.3f} s")
     return gate, metrics
 
 
-def layer_metrics(scale, self_times, rec, counts, extras, serve, walls, imp):
+def traced_call(name, fn: Callable, origin: float, snaps: List[Tuple[float, dict]]):
+    """``fn()`` with obs on, inside a span ``name`` if given.
+
+    Enabling obs empties its buffer, so the spans of each call are kept in
+    ``snaps`` with the call's offset from ``origin``.
+    """
+    obs.configure(enabled=True)
+    offset = time.perf_counter() - origin
+    try:
+        if name is None:
+            return fn()
+        with obs.span(name):
+            return fn()
+    finally:
+        snaps.append((offset, obs.snapshot()))
+        obs.configure(enabled=False)
+
+
+def merged_trace(snaps: List[Tuple[float, dict]], meta: dict) -> dict:
+    """One ``repro.obs`` trace of every traced call, on one time axis."""
+    obs.configure(enabled=True)
+    try:
+        for offset, snap in snaps:
+            for record in snap["spans"]:
+                record["start_s"] += offset
+            obs.merge_snapshot(snap)
+        return obs.trace_payload(meta=meta)
+    finally:
+        obs.configure(enabled=False)
+
+
+def bench_self_times(spans: List[dict]) -> Dict[str, float]:
+    """Wall time summed per benchmark span name, minus benchmark-named children.
+
+    Benchmark spans are named ``<scope>.<layer>``; the program's spans nested
+    inside them stay part of their time.
+    """
+    scopes = {scope for scope, _ in SCOPES}
+    ours = [r for r in spans if r["name"].split(".", 1)[0] in scopes]
+    child_wall: Dict[int, float] = {}
+    for record in ours:
+        if record["parent"] is not None:
+            child_wall[record["parent"]] = child_wall.get(record["parent"], 0.0) + record["wall_s"]
+    out: Dict[str, float] = {}
+    for record in ours:
+        own = record["wall_s"] - child_wall.get(record["id"], 0.0)
+        out[record["name"]] = out.get(record["name"], 0.0) + own
+    return out
+
+
+def layer_metrics(scale, self_times, spans, counts, extras, serve, walls, imp):
     """Per-operation layer times, counts, shares and residuals."""
     n_res = min(RESIDENT_REPLAYED, 3 * scale.resident_per_kind)
     per_op = {"small": 1, "large": 1, "dist": 1, "sweep": 1, "resident": n_res, "ingest": INGEST_COUNTED_REQUESTS}
@@ -541,8 +603,8 @@ def layer_metrics(scale, self_times, rec, counts, extras, serve, walls, imp):
     for scope, pairs in (("resident", n_res // 2), ("ingest", INGEST_COUNTED_REQUESTS // 2)):
         metrics[f"{scope}.serve.solve_many_s"] = (self_times[f"{scope}.serve.solve_many_s"] / pairs, "s")
     for kind in ("special", "regular", "general"):
-        spans = [r for r in rec.spans if r["name"] == "resident.algo.upper_bounds_s" and r["attrs"].get("kind") == kind]
-        metrics[f"resident.{kind}.algo.upper_bounds_s"] = (sum(r["wall_s"] for r in spans) / len(spans), "s")
+        ub = [r for r in spans if r["name"] == "resident.algo.upper_bounds_s" and r["attrs"].get("kind") == kind]
+        metrics[f"resident.{kind}.algo.upper_bounds_s"] = (sum(r["wall_s"] for r in ub) / len(ub), "s")
 
     # residuals: what a timed layer does not claim
     solve_path = ("io.parse_s",) + SOLVE_LAYERS + ("io.write_s",)

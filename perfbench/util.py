@@ -1,5 +1,5 @@
 """Shared pieces of the benchmark: paths, statistics, process control,
-the calibration loop, the correctness gate and the span recorder.
+the calibration loop and the correctness gate.
 
 Nothing here imports the program under test at module level, so the
 entry point can refuse to run (with a non-zero exit) in a directory that
@@ -19,7 +19,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -213,89 +213,6 @@ def solution_values(doc: dict) -> Dict[str, float]:
 def reference_values(solution) -> Dict[str, float]:
     """``agent -> value`` of an in-process :class:`Solution`, JSON-normalised."""
     return json.loads(json.dumps({str(k): float(v) for k, v in solution.as_dict().items()}))
-
-
-# ----------------------------------------------------------------------
-# span recorder (repro.obs trace schema, benchmark-side spans only)
-# ----------------------------------------------------------------------
-
-
-class SpanRecorder:
-    """Spans around the benchmark's own calls into each layer.
-
-    Records use the ``repro.obs`` v1 span shape, so :meth:`payload` passes
-    ``repro.obs.validate_trace``.  The stack is a plain list: the replay that
-    uses it is single-threaded, like the program's own span stack.
-    With ``enabled=False`` the context manager only runs the body, which is
-    the untraced baseline for the tracing-overhead figure.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.origin = time.perf_counter()
-        self.spans: List[dict] = []
-        self._stack: List[int] = []
-
-    @contextlib.contextmanager
-    def span(self, name: str, **attrs):
-        if not self.enabled:
-            yield
-            return
-        record = {
-            "id": len(self.spans),
-            "parent": self._stack[-1] if self._stack else None,
-            "name": name,
-            "start_s": time.perf_counter() - self.origin,
-            "wall_s": 0.0,
-            "cpu_s": 0.0,
-            "attrs": attrs,
-            "proc": 0,
-        }
-        self.spans.append(record)
-        self._stack.append(record["id"])
-        cpu0 = time.process_time()
-        try:
-            yield
-        finally:
-            record["wall_s"] = time.perf_counter() - self.origin - record["start_s"]
-            record["cpu_s"] = time.process_time() - cpu0
-            self._stack.pop()
-
-    def self_times(self, prefix: str = "") -> Dict[str, float]:
-        """Self time (wall minus direct children) summed per span name."""
-        child_wall: Dict[int, float] = {}
-        for record in self.spans:
-            if record["parent"] is not None:
-                child_wall[record["parent"]] = child_wall.get(record["parent"], 0.0) + record["wall_s"]
-        out: Dict[str, float] = {}
-        for record in self.spans:
-            if record["name"].startswith(prefix):
-                own = record["wall_s"] - child_wall.get(record["id"], 0.0)
-                out[record["name"]] = out.get(record["name"], 0.0) + own
-        return out
-
-    def payload(self, meta: Optional[dict] = None) -> dict:
-        chrome = [
-            {
-                "name": r["name"],
-                "ph": "X",
-                "ts": round(r["start_s"] * 1e6, 3),
-                "dur": round(r["wall_s"] * 1e6, 3),
-                "pid": 0,
-                "tid": r["proc"],
-                "args": r["attrs"],
-            }
-            for r in self.spans
-        ]
-        return {
-            "format": "repro.obs-trace",
-            "version": 1,
-            "meta": dict(meta or {}),
-            "spans": self.spans,
-            "counters": {},
-            "gauges": {},
-            "chrome_trace": chrome,
-        }
 
 
 def emit(correct: bool, attempted: int, failed: int, metrics: Dict[str, tuple]) -> None:
