@@ -149,8 +149,18 @@ def resident_documents(scale: Scale, seed: int) -> List[Tuple[str, str]]:
 
 
 def resident_order(seed: int, digests: List[str], count: int) -> List[str]:
+    """Seeded shuffles of all ``digests``, one after another.
+
+    Every run asks for each instance (so each kind) equally often, so the
+    seed changes the order but not the mix of cheap and dear requests.
+    """
     rng = random.Random(sub_seed(seed, 13))
-    return [rng.choice(digests) for _ in range(count)]
+    order: List[str] = []
+    while len(order) < count:
+        block = list(digests)
+        rng.shuffle(block)
+        order += block
+    return order[:count]
 
 
 # ----------------------------------------------------------------------
@@ -169,17 +179,20 @@ def ingest_document(n: int, seed: int, index: int) -> str:
 def ingest_sequence(seed: int, pool_size: int, count: int) -> Tuple[List[int], int]:
     """Document index per request, and how many requests found the pool spent.
 
-    One request in four re-sends an earlier document, chosen uniformly from
-    those sent before it; the rest send the next new document.  When the
-    pool is spent, a request that would send a new one re-sends instead
-    (counted, so a program fast enough to spend the pool shows in the record).
+    Every fourth request re-sends an earlier document, chosen uniformly from
+    those sent before it; the rest send the next new document.  A re-send is
+    answered from the result cache, far faster than a new document, so the
+    share of re-sends is fixed rather than drawn, and the seed does not move
+    throughput through it.  When the pool is spent, a request that would
+    send a new one re-sends instead (counted, so a program fast enough to
+    spend the pool shows in the record).
     """
     rng = random.Random(sub_seed(seed, 21))
     order: List[int] = []
     fresh = 0
     spent = 0
-    for _ in range(count):
-        repeat = order and rng.random() < 0.25
+    for i in range(count):
+        repeat = i % 4 == 3
         if not repeat and fresh >= pool_size:
             repeat, spent = True, spent + 1
         if repeat:

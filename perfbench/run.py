@@ -20,7 +20,7 @@ import signal
 import sys
 import time
 
-from util import SRC, Gate, calibrate, emit, log, table, work_dir
+from util import SRC, Gate, adopt_orphans, calibrate, emit, log, reap_children, table, work_dir
 
 WORKLOADS = ("cli-cold", "serve-resident", "serve-ingest")
 END_TO_END = ("ops_per_s", "p50_ms", "tail_ms", "setup_s", "peak_rss_mb")
@@ -96,7 +96,13 @@ def main(argv=None) -> int:
 if __name__ == "__main__":
     # On SIGTERM, unwind normally so that servers, pools and children are stopped.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    adopt_orphans()
     started = time.perf_counter()
-    code = main()
+    try:
+        code = main()
+    finally:
+        leftover = reap_children()
+        if leftover:
+            log(f"perfbench: stopped {leftover} leftover child process(es)")
     log(f"perfbench: done in {time.perf_counter() - started:.1f} s")
     sys.exit(code)

@@ -9,7 +9,7 @@ so these workloads report throughput and latency, not a rate under an SLO.
 ``serve-resident`` admits its instances in set-up and then asks by digest:
 the §4 transform and preprocess are cached on the resident instance, so the
 §5 kernels, coalescing and HTTP are the work.  ``serve-ingest`` sends the
-whole document every time (one in four is a re-send), so parse, digest,
+whole document every time (every fourth is a re-send), so parse, digest,
 admission, eviction and the result cache's writes are the work.
 """
 
@@ -215,22 +215,23 @@ class Resident:
         self.setup_times: List[float] = []
         self.server: Optional[Server] = None
         warm: List[Tuple[str, int, bytes]] = []
-        for rep in range(scale.setup_reps):
-            if self.server is not None:
-                self.server.stop()
-            start = time.perf_counter()
-            self.server = Server(work, [], f"resident-{rep}")
-            try:
+        try:
+            for rep in range(scale.setup_reps):
+                if self.server is not None:
+                    self.server.stop()
+                start = time.perf_counter()
+                self.server = Server(work, [], f"resident-{rep}")
                 self.digests, answers = admit_warm(self.server, texts)
                 warm += answers
-            except BaseException:
+                self.setup_times.append(time.perf_counter() - start)
+            self.want = dict(zip(self.digests, refs))
+            for digest, status, raw in warm:
+                problem = check_solve(status, raw, self.want[digest])
+                gate.check(not problem, f"serve-resident warm-up solve: {problem}")
+        except BaseException:  # the caller stops the server only once set-up has returned
+            if self.server is not None:
                 self.server.stop()
-                raise
-            self.setup_times.append(time.perf_counter() - start)
-        self.want = dict(zip(self.digests, refs))
-        for digest, status, raw in warm:
-            problem = check_solve(status, raw, self.want[digest])
-            gate.check(not problem, f"serve-resident warm-up solve: {problem}")
+            raise
         self.kind = {d: kind for d, (kind, _) in zip(self.digests, self.docs)}
         gate.check(len(set(self.digests)) == len(texts), "resident documents share a digest")
 
@@ -342,5 +343,11 @@ def run_ingest(scale: Scale, seed: int, seconds: float, work: Path, gate: Gate, 
 
 
 def make_pool():
-    """Two spawned workers for untimed input generation and references."""
-    return multiprocessing.get_context("spawn").Pool(2)
+    """Two forked workers for untimed input generation and references.
+
+    Fork, not spawn: a spawn-context pool names its semaphores and so starts
+    multiprocessing's resource tracker, a process nobody waits for that
+    outlives the benchmark by a moment.  A fork-context pool starts only its
+    two workers, and ``close()`` + ``join()`` waits for both.
+    """
+    return multiprocessing.get_context("fork").Pool(2)

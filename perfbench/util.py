@@ -122,6 +122,10 @@ def run_python(args: Sequence[str], cwd: Path, timeout_s: float = 170.0) -> Proc
         watchdog.start()
         try:
             _, status, rusage = os.wait4(proc.pid, 0)
+        except BaseException:  # e.g. SIGTERM while waiting: the child goes too
+            proc.kill()
+            proc.wait()
+            raise
         finally:
             watchdog.cancel()
         wall = time.perf_counter() - start
@@ -149,6 +153,57 @@ def stop_process(proc: subprocess.Popen, timeout_s: float = 20.0) -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+
+
+def adopt_orphans() -> None:
+    """Become the reaper of this process's orphaned descendants (Linux).
+
+    A grandchild whose parent dies first (a sweep's pool worker after its
+    CLI process was killed at a timeout) is then re-parented here, so that
+    :func:`reap_children` stops it too instead of leaving it to ``init``.
+    """
+    import ctypes
+
+    pr_set_child_subreaper = 36
+    ctypes.CDLL(None, use_errno=True).prctl(pr_set_child_subreaper, 1, 0, 0, 0)
+
+
+def _child_pids() -> List[int]:
+    me = os.getpid()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as handle:
+                stat = handle.read()
+        except OSError:  # the process ended while the table was read
+            continue
+        # Fields after the parenthesised command name: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            pids.append(int(entry))
+    return pids
+
+
+def reap_children() -> int:
+    """Kill and wait for every child process still present; returns how many.
+
+    Every path out of the benchmark ends here, so no process it started (or
+    adopted through :func:`adopt_orphans`) outlives it.  In a clean run the
+    servers and pools are already stopped and this finds nothing.
+    """
+    stopped = 0
+    for _ in range(100):
+        pids = _child_pids()
+        if not pids:
+            break
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        stopped += len(pids)
+    return stopped
 
 
 @contextlib.contextmanager
