@@ -3,16 +3,16 @@
 Five measurements, one per record-path hot spot this PR compiled:
 
 * **preprocess-fixed-point** — the degenerate-structure fixed point of
-  ``repro.core.preprocess`` under ``backend="reference"`` (per-node scans)
-  vs ``backend="vectorized"`` (CSR degree-peeling) on a degeneracy-rich
+  ``repro.core.preprocess`` in the oracle ``reference_preprocess`` (per-node
+  scans) vs ``preprocess`` (CSR degree-peeling) on a degeneracy-rich
   random instance; removed sets and flags are asserted identical.  This is
   the ≥ 10× acceptance row.
 * **preprocess** — the same comparison end to end (fixed point *plus* the
-  shared cleaned-instance materialisation, which both backends pay
+  shared cleaned-instance materialisation, which both paths pay
   identically), reported for honesty about the full-call speedup.
 * **evaluate** — one sweep-record evaluation (``utility()`` + feasibility
   verdict, exactly what ``analysis.ratios.evaluate_solution`` does per
-  record) under the dict oracle vs the array backend; results asserted
+  record) under the ``dict_*`` oracle vs the compiled arrays; results asserted
   bitwise identical.  Also a ≥ 10× acceptance row.
 * **transform-cache** — an R-sweep over one instance with the §4 pipeline
   spy-counted: the pipeline must run exactly once (cold), warm solves reuse
@@ -58,7 +58,12 @@ from repro.algo.kernels import batched_upper_bounds
 from repro.analysis.reporting import format_table
 from repro.core.compiled import stack_compiled
 from repro.core.instance import MaxMinInstance
-from repro.core.preprocess import _reference_fixed_point, _vectorized_fixed_point, preprocess
+from repro.core.preprocess import (
+    _reference_fixed_point,
+    _vectorized_fixed_point,
+    preprocess,
+    reference_preprocess,
+)
 from repro.core.solution import Solution
 from repro.engine.batch import ratio_sweep_batch, run_batch
 from repro.engine.cache import ResultCache
@@ -165,12 +170,12 @@ def measure_preprocess(n: int, seed: int, repeats: int = 3) -> List[Dict[str, ob
         and ref_fp.optimum_is_zero == vec_fp.optimum_is_zero
     )
 
-    def _end_to_end(backend: str) -> None:
+    def _vectorized_end_to_end() -> None:
         instance._preprocess_cache = None  # bypass the per-instance memo
-        preprocess(instance, backend=backend)
+        preprocess(instance)
 
-    t_ref = _best_of(repeats, lambda: _end_to_end("reference"))
-    t_vec = _best_of(repeats, lambda: _end_to_end("vectorized"))
+    t_ref = _best_of(repeats, lambda: reference_preprocess(instance))
+    t_vec = _best_of(repeats, _vectorized_end_to_end)
     instance._preprocess_cache = None
 
     return [
@@ -212,8 +217,8 @@ def measure_evaluate(n: int, seed: int, repeats: int = 3) -> Dict[str, object]:
     def eval_dict() -> float:
         sol = Solution(instance, values, label="probe")
         start = time.perf_counter()
-        out["util_dict"] = sol.utility(backend="dict")
-        out["feas_dict"] = sol.is_feasible(backend="dict")
+        out["util_dict"] = sol.dict_utility()
+        out["feas_dict"] = sol.dict_check_feasibility().feasible
         return time.perf_counter() - start
 
     def eval_array() -> float:

@@ -1,11 +1,12 @@
-"""Microbenchmark: safe baseline + distributed runtime, reference vs vectorized.
+"""Microbenchmark: safe baseline + distributed runtime, per-node oracle vs vectorized.
 
 Covers the two hot paths PR 3 ported onto the CSR layer — the prior-work
 safe baseline (centralized and as the 2-round protocol) and the synchronous
 runtime driving the E5 local protocol.  For each (family × n) configuration
-the script times both backends of
+the script times the per-node oracle and the production path of
 
-* ``safe_solution`` (the compiled view is warmed first: in every sweep that
+* ``safe_solution`` against ``reference_safe_solution`` (the compiled view
+  is warmed first: in every sweep that
   also runs the §5 solver — the default — the lowering is already paid, so
   the warm number is the cost the sweep actually sees),
 * ``DistributedSafeSolver`` (plane construction included — a protocol run
@@ -13,7 +14,9 @@ the script times both backends of
 * ``DistributedLocalSolver`` at R=2 (the E5 scaling protocol), also
   reporting the per-round cost of the runtime itself,
 
-checks that the backends agree (outputs and total message counts), and
+the two protocols against the dict runtime (``SynchronousRuntime.run`` with
+the node factories); checks that both sides agree (outputs and total
+message counts), and
 asserts the acceptance bar (runtime speedup ≥ ``--min-speedup`` at
 ``n ≥ --speedup-floor-n``) unless running in ``--smoke`` mode.
 
@@ -44,10 +47,20 @@ BENCH_DIR = Path(__file__).resolve().parent
 if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a script
     sys.path.insert(0, str(BENCH_DIR))
 
-from repro.algo.safe_algorithm import safe_solution
+from repro.algo.safe_algorithm import reference_safe_solution, safe_solution
 from _harness import obs_counter_rollup, write_bench_payload
 from repro.analysis.reporting import format_table
-from repro.distributed import DistributedLocalSolver, DistributedSafeSolver
+from repro.core.solution import Solution
+from repro.distributed import (
+    SAFE_ALGORITHM_ROUNDS,
+    DistributedLocalSolver,
+    DistributedSafeSolver,
+    PhaseSchedule,
+    SynchronousRuntime,
+    build_network,
+    maxmin_node_factory,
+)
+from repro.distributed.safe_agents import safe_node_factory
 from repro.engine.cache import ResultCache
 from repro.engine.registry import solver_version
 from repro.generators import cycle_instance, regular_special_form_instance
@@ -125,36 +138,45 @@ def config_key(family: str, n: int, R: int, seed: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _dict_runtime(instance, factory, rounds: int):
+    """A protocol on the per-node dict runtime (the oracle): ``(solution, run)``."""
+    run = SynchronousRuntime(build_network(instance)).run(factory, rounds=rounds)
+    return Solution(instance, run.outputs), run
+
+
 def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
-    """Time both backends of all three paths on one fresh instance."""
+    """Time the oracle and the production path of all three on one fresh instance."""
     instance = make_instance(family, n, seed)
     instance.compiled()  # warm the CSR view: shared with the §5 solver in sweeps
 
     start = time.perf_counter()
-    safe_ref = safe_solution(instance, backend="reference")
+    safe_ref = reference_safe_solution(instance)
     t_safe_ref = time.perf_counter() - start
     start = time.perf_counter()
-    safe_vec = safe_solution(instance, backend="vectorized")
+    safe_vec = safe_solution(instance)
     t_safe_vec = time.perf_counter() - start
     safe_diff = max(abs(safe_ref[v] - safe_vec[v]) for v in instance.agents)
 
     start = time.perf_counter()
-    dsafe_ref, drun_ref = DistributedSafeSolver(backend="reference").solve(instance)
+    dsafe_ref, drun_ref = _dict_runtime(instance, safe_node_factory, SAFE_ALGORITHM_ROUNDS)
     t_dsafe_ref = time.perf_counter() - start
     start = time.perf_counter()
-    dsafe_vec, drun_vec = DistributedSafeSolver(backend="vectorized").solve(instance)
+    dsafe_vec, drun_vec = DistributedSafeSolver().solve(instance)
     t_dsafe_vec = time.perf_counter() - start
     if drun_ref.total_messages != drun_vec.total_messages:
-        raise AssertionError("safe protocol backends disagree on message counts")
+        raise AssertionError("safe protocol and its oracle disagree on message counts")
 
     start = time.perf_counter()
-    local_ref, run_ref = DistributedLocalSolver(R=R, backend="reference").solve(instance)
+    schedule = PhaseSchedule(R)
+    local_ref, run_ref = _dict_runtime(
+        instance, maxmin_node_factory(schedule), schedule.total_rounds
+    )
     t_run_ref = time.perf_counter() - start
     start = time.perf_counter()
-    local_vec, run_vec = DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+    local_vec, run_vec = DistributedLocalSolver(R=R).solve(instance)
     t_run_vec = time.perf_counter() - start
     if run_ref.total_messages != run_vec.total_messages:
-        raise AssertionError("local protocol backends disagree on message counts")
+        raise AssertionError("local protocol and its oracle disagree on message counts")
     runtime_diff = max(abs(local_ref[v] - local_vec[v]) for v in instance.agents)
 
     return {
@@ -180,7 +202,7 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
         # Untimed traced re-run of the vectorized protocol: rounds, message
         # and byte counters for the configuration timed above.
         "obs": obs_counter_rollup(
-            lambda: DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+            lambda: DistributedLocalSolver(R=R).solve(instance)
         )[1],
     }
 
@@ -282,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"\nwrote {len(rows)} rows to {output}")
 
     if correctness:
-        print(f"FAIL: {len(correctness)} configuration(s) exceed the backend-agreement tolerance")
+        print(f"FAIL: {len(correctness)} configuration(s) exceed the oracle-agreement tolerance")
         return 1
     if failures:
         print(

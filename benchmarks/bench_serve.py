@@ -110,7 +110,7 @@ async def _measure_inprocess(
         solo = await _barrage_inprocess(server, bodies(False, include_values=True))
         coal = await _barrage_inprocess(server, bodies(True, include_values=True))
         direct = [
-            LocalMaxMinSolver(R=R, backend="vectorized").solve(inst) for inst in instances
+            LocalMaxMinSolver(R=R).solve(inst) for inst in instances
         ]
         equal = all(
             c["result"] == s["result"]

@@ -2,9 +2,9 @@
 
 Three measurements, one per remaining general-path hot spot:
 
-* **pipeline** — ``to_special_form`` under ``backend="reference"`` (per-stage
-  object rewrites) vs ``backend="vectorized"`` (CSR index arithmetic) on
-  cleaned random general instances; the vectorized output is asserted
+* **pipeline** — the oracle ``apply_chain(clean, canonical_transforms())``
+  (per-stage object rewrites) vs ``to_special_form`` (CSR index arithmetic)
+  on cleaned random general instances; the vectorized output is asserted
   digest-identical and the back-mapped LP solution asserted within 1e-12.
 * **lp-assembly** — the historical per-edge Python COO loop (re-created here
   as the oracle) vs the compiled-triplet assembly now used by
@@ -54,7 +54,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.registry import _instance_and_lp, solver_version
 from repro.generators import cycle_instance, random_instance
 from repro.io.serialization import instance_digest, instance_to_json
-from repro.transforms.pipeline import to_special_form
+from repro.transforms.pipeline import apply_chain, canonical_transforms, to_special_form
 
 DEFAULT_OUTPUT = BENCH_DIR / "BENCH_transforms_lp.json"
 DEFAULT_CACHE_DIR = BENCH_DIR / "results" / "transforms_lp_cache"
@@ -106,15 +106,15 @@ def clean_general_instance(n: int, seed: int):
 
 
 def measure_pipeline(n: int, seed: int) -> Dict[str, object]:
-    """Reference vs vectorized §4 pipeline on one cleaned general instance."""
+    """Oracle chain vs compiled §4 pipeline on one cleaned general instance."""
     clean = clean_general_instance(n, seed)
 
     start = time.perf_counter()
-    vec = to_special_form(clean, backend="vectorized")
+    vec = to_special_form(clean)
     t_vectorized = time.perf_counter() - start
 
     start = time.perf_counter()
-    ref = to_special_form(clean, backend="reference")
+    ref = apply_chain(clean, canonical_transforms())
     t_reference = time.perf_counter() - start
 
     digest_ok = instance_digest(instance_to_json(vec.transformed)) == instance_digest(
@@ -147,7 +147,7 @@ def measure_pipeline(n: int, seed: int) -> Dict[str, object]:
         # Untimed traced pipeline run on a fresh instance (the one above has
         # the transform cached) for the counters of a cold transform.
         "obs": obs_counter_rollup(
-            lambda: to_special_form(clean_general_instance(n, seed), backend="vectorized")
+            lambda: to_special_form(clean_general_instance(n, seed))
         )[1],
     }
 

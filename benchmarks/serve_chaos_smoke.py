@@ -1,8 +1,9 @@
 """Serve chaos smoke: a concurrent barrage against a deliberately faulty server.
 
 The CI guard for the serving layer.  One in-process server runs with an
-injected :class:`~repro.faults.FaultPlan` (transient errors on the
-vectorized backend plus a hang on the reference rung) and a tight deadline,
+injected :class:`~repro.faults.FaultPlan` (a transient error on the first
+attempt of every §5 solve, coalesced or solo, plus a hang on the safe rung
+that answers it) and a tight deadline,
 and a ≥64-request concurrent barrage — solves, ratios, utilities, info,
 plus malformed and unknown-digest requests — is fired at it.  The
 resilience contract asserted here:
@@ -42,8 +43,8 @@ def main() -> int:
     plan = FaultPlan(
         seed=11,
         job_faults=(
-            transient(algorithm="local", params=(("backend", "vectorized"),)),
-            hang(0.4, algorithm="local", attempts=(1,)),
+            transient(algorithm="local", attempts=(0,)),
+            hang(0.4, algorithm="safe", attempts=(1,)),
         ),
     )
     config = ServeConfig(

@@ -24,9 +24,12 @@ from .local_solver import (
     GRecursionValues,
     SpecialFormLocalSolver,
     SpecialFormSolveResult,
+    compute_g_recursion,
+    output_vector,
+    reference_solve,
     special_form_ratio,
 )
-from .safe_algorithm import SafeAlgorithm, safe_solution
+from .safe_algorithm import SafeAlgorithm, reference_safe_solution, safe_solution
 from .tree_recursion import FRecursionValues, evaluate_recursion, recursion_feasible, recursion_margin
 from .upper_bound import (
     compute_upper_bounds,
@@ -61,12 +64,16 @@ __all__ = [
     "GRecursionValues",
     "SpecialFormLocalSolver",
     "SpecialFormSolveResult",
+    "compute_g_recursion",
+    "output_vector",
+    "reference_solve",
     "special_form_ratio",
     "LocalMaxMinSolver",
     "GeneralSolveResult",
     "theorem1_ratio",
     "SafeAlgorithm",
     "safe_solution",
+    "reference_safe_solution",
     "Certificate",
     "verify_certificate",
     "Layering",

@@ -43,7 +43,7 @@ from ..core.instance import MaxMinInstance
 from ..core.lp import solve_maxmin_lp
 from ..core.solution import Solution
 from ..core.validation import require_special_form
-from .local_solver import SpecialFormLocalSolver
+from .local_solver import SpecialFormLocalSolver, compute_g_recursion
 from .upper_bound import compute_upper_bounds, smooth_upper_bounds
 
 __all__ = ["ABLATION_VARIANTS", "solve_ablation", "ablation_report"]
@@ -77,7 +77,7 @@ def solve_ablation(
     else:
         bounds = smooth_upper_bounds(instance, upper_bounds, r)
 
-    g = solver.compute_g_recursion(instance, bounds)
+    g = compute_g_recursion(instance, bounds, r)
 
     if variant == "down_only":
         values = {

@@ -25,8 +25,9 @@ over the int-indexed CSR arrays of a
   Eq. 18 as whole-vector operations.
 
 Floating-point parity: every segmented reduction runs in the same canonical
-adjacency order as the reference implementation's Python loops, so the two
-backends agree to within bisection tolerance (the equivalence property tests
+adjacency order as the per-node oracle's Python loops
+(:func:`repro.algo.local_solver.reference_solve`), so the two agree to
+within bisection tolerance (the equivalence property tests
 in ``tests/test_kernels.py`` pin this at 1e-9).
 """
 

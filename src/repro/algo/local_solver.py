@@ -20,16 +20,20 @@ Given a special-form instance (``|V_i| = 2``, ``|V_k| ≥ 2``, ``|K_v| = 1``,
 The output is feasible (Lemma 11) and within a factor
 ``2 (1 − 1/ΔK) (1 + 1/(R−1))`` of the optimum (Lemma 12 + §6.3).
 
-Everything here is the *centralized reference* implementation: it computes
-the same quantities a distributed execution would, directly on the instance.
-The message-passing realisation lives in :mod:`repro.distributed.agents` and
-is tested to produce bit-identical outputs.
+:class:`SpecialFormLocalSolver` computes these quantities centrally, with
+the compiled CSR kernels of :mod:`repro.algo.kernels`.  The per-node
+functions below — :func:`compute_g_recursion`, :func:`output_vector` and
+:func:`reference_solve`, on top of
+:func:`~repro.algo.upper_bound.compute_upper_bounds` and
+:func:`~repro.algo.upper_bound.smooth_upper_bounds` — are the readable
+oracle the kernels are tested against (1e-9).  The message-passing
+realisation lives in :mod:`repro.distributed.agents`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .. import obs
 from .._types import NodeId
@@ -44,6 +48,9 @@ __all__ = [
     "IncrementalSolveState",
     "SpecialFormSolveResult",
     "SpecialFormLocalSolver",
+    "compute_g_recursion",
+    "output_vector",
+    "reference_solve",
     "special_form_ratio",
 ]
 
@@ -98,7 +105,7 @@ class SpecialFormSolveResult:
     guaranteed_ratio:
         ``2 (1 − 1/ΔK)(1 + 1/(R−1))`` for this instance's ``ΔK``.
 
-    Results built by :meth:`from_kernel_arrays` (the vectorized backend)
+    Results built by :meth:`from_kernel_arrays` (every solver result)
     keep the kernel output arrays and materialise the ``upper_bounds`` /
     ``smoothed_bounds`` / ``g`` dicts only on first attribute access: the
     engine's record path reads nothing but ``solution``, so a sweep never
@@ -209,8 +216,79 @@ class SpecialFormSolveResult:
         )
 
 
+def compute_g_recursion(
+    instance: MaxMinInstance, smoothed_bounds: Dict[NodeId, float], r: int
+) -> GRecursionValues:
+    """Eqs. 12–14 for all agents and all depths ``d = 0 … r`` (per-node oracle)."""
+    agents = instance.agents
+
+    g_plus: List[Dict[NodeId, float]] = [dict() for _ in range(r + 1)]
+    g_minus: List[Dict[NodeId, float]] = [dict() for _ in range(r + 1)]
+
+    # Eq. 12 — depth 0 upper values are the individual capacities.
+    for v in agents:
+        g_plus[0][v] = instance.agent_capacity(v)
+
+    for d in range(r + 1):
+        if d >= 1:
+            # Eq. 14 — g⁺ at depth d needs g⁻ of the constraint partners at d−1.
+            for v in agents:
+                best = math.inf
+                for i in instance.constraints_of_agent(v):
+                    partner = instance.other_agent(i, v)
+                    candidate = (
+                        1.0 - instance.a(i, partner) * g_minus[d - 1][partner]
+                    ) / instance.a(i, v)
+                    if candidate < best:
+                        best = candidate
+                g_plus[d][v] = best
+        # Eq. 13 — g⁻ at depth d needs g⁺ of the objective siblings at d.
+        for v in agents:
+            sibling_total = sum(g_plus[d][w] for w in instance.objective_siblings(v))
+            g_minus[d][v] = max(0.0, smoothed_bounds[v] - sibling_total)
+
+    return GRecursionValues(g_plus, g_minus)
+
+
+def output_vector(instance: MaxMinInstance, g: GRecursionValues, R: int) -> Solution:
+    """Eq. 18: ``x_v = (1/2R) Σ_d (g⁺_{v,d} + g⁻_{v,d})`` (per-node oracle)."""
+    factor = 1.0 / (2.0 * R)
+    values = {
+        v: factor * sum(g.plus(v, d) + g.minus(v, d) for d in range(g.r + 1))
+        for v in instance.agents
+    }
+    return Solution(instance, values, label=f"local-R{R}")
+
+
+def reference_solve(
+    instance: MaxMinInstance,
+    R: int,
+    *,
+    tu_method: str = "recursion",
+    tu_tol: float = DEFAULT_BISECTION_TOL,
+) -> SpecialFormSolveResult:
+    """The whole §5 pipeline through the per-node oracle functions.
+
+    Agrees with :meth:`SpecialFormLocalSolver.solve` to within bisection
+    tolerance (pinned at 1e-9 by ``tests/test_kernels.py``).
+    """
+    require_special_form(instance)
+    r = R - 2
+    upper_bounds = compute_upper_bounds(instance, r, method=tu_method, tol=tu_tol)
+    smoothed = smooth_upper_bounds(instance, upper_bounds, r)
+    g = compute_g_recursion(instance, smoothed, r)
+    return SpecialFormSolveResult(
+        solution=output_vector(instance, g, R),
+        upper_bounds=upper_bounds,
+        smoothed_bounds=smoothed,
+        g=g,
+        R=R,
+        guaranteed_ratio=special_form_ratio(instance.delta_K, R),
+    )
+
+
 class SpecialFormLocalSolver:
-    """Centralized reference implementation of the §5 local algorithm.
+    """The §5 local algorithm over the compiled CSR kernels.
 
     Parameters
     ----------
@@ -222,13 +300,6 @@ class SpecialFormLocalSolver:
         ``"recursion"`` (binary search, default) or ``"lp"`` (exact tree LP).
     tu_tol:
         Bisection tolerance when ``tu_method="recursion"``.
-    backend:
-        ``"vectorized"`` (default) routes the whole pipeline through the
-        compiled CSR kernels of :mod:`repro.algo.kernels`; ``"reference"``
-        keeps the original per-node object traversal.  Both produce the same
-        result to within bisection tolerance (pinned at 1e-9 by the
-        equivalence property tests); the reference backend is retained as
-        the readable oracle.
     """
 
     def __init__(
@@ -237,96 +308,18 @@ class SpecialFormLocalSolver:
         *,
         tu_method: str = "recursion",
         tu_tol: float = DEFAULT_BISECTION_TOL,
-        backend: str = "vectorized",
     ) -> None:
         if R < 2:
             raise ValueError(f"shifting parameter R must be at least 2, got {R}")
         if tu_method not in ("recursion", "lp"):
             raise ValueError(f"unknown tu_method {tu_method!r}")
-        if backend not in ("vectorized", "reference"):
-            raise ValueError(f"unknown backend {backend!r} (expected 'vectorized' or 'reference')")
         self.R = R
         self.r = R - 2
         self.tu_method = tu_method
         self.tu_tol = tu_tol
-        self.backend = backend
 
-    # ------------------------------------------------------------------
-    def compute_g_recursion(
-        self, instance: MaxMinInstance, smoothed_bounds: Dict[NodeId, float]
-    ) -> GRecursionValues:
-        """Evaluate Eqs. 12–14 for all agents and all depths ``d = 0 … r``."""
-        r = self.r
-        agents = instance.agents
-
-        g_plus: List[Dict[NodeId, float]] = [dict() for _ in range(r + 1)]
-        g_minus: List[Dict[NodeId, float]] = [dict() for _ in range(r + 1)]
-
-        # Eq. 12 — depth 0 upper values are the individual capacities.
-        for v in agents:
-            g_plus[0][v] = instance.agent_capacity(v)
-
-        for d in range(r + 1):
-            if d >= 1:
-                # Eq. 14 — g⁺ at depth d needs g⁻ of the constraint partners at d−1.
-                for v in agents:
-                    best = math.inf
-                    for i in instance.constraints_of_agent(v):
-                        partner = instance.other_agent(i, v)
-                        candidate = (
-                            1.0 - instance.a(i, partner) * g_minus[d - 1][partner]
-                        ) / instance.a(i, v)
-                        if candidate < best:
-                            best = candidate
-                    g_plus[d][v] = best
-            # Eq. 13 — g⁻ at depth d needs g⁺ of the objective siblings at d.
-            for v in agents:
-                sibling_total = sum(g_plus[d][w] for w in instance.objective_siblings(v))
-                g_minus[d][v] = max(0.0, smoothed_bounds[v] - sibling_total)
-
-        return GRecursionValues(g_plus, g_minus)
-
-    def output_vector(self, instance: MaxMinInstance, g: GRecursionValues) -> Solution:
-        """Eq. 18: ``x_v = (1/2R) Σ_d (g⁺_{v,d} + g⁻_{v,d})``."""
-        factor = 1.0 / (2.0 * self.R)
-        values = {
-            v: factor * sum(g.plus(v, d) + g.minus(v, d) for d in range(self.r + 1))
-            for v in instance.agents
-        }
-        return Solution(instance, values, label=f"local-R{self.R}")
-
-    # ------------------------------------------------------------------
-    def solve(self, instance: MaxMinInstance) -> SpecialFormSolveResult:
-        """Run the full §5 algorithm on a special-form instance."""
-        require_special_form(instance)
-        if self.backend == "vectorized":
-            return self._solve_vectorized(instance)
-
-        with obs.span(
-            "solve.special_form", backend="reference", agents=instance.num_agents
-        ):
-            with obs.span("kernels.upper_bounds"):
-                upper_bounds = compute_upper_bounds(
-                    instance, self.r, method=self.tu_method, tol=self.tu_tol
-                )
-            with obs.span("kernels.smooth"):
-                smoothed = smooth_upper_bounds(instance, upper_bounds, self.r)
-            with obs.span("kernels.g_recursion"):
-                g = self.compute_g_recursion(instance, smoothed)
-            with obs.span("kernels.output"):
-                solution = self.output_vector(instance, g)
-
-        return SpecialFormSolveResult(
-            solution=solution,
-            upper_bounds=upper_bounds,
-            smoothed_bounds=smoothed,
-            g=g,
-            R=self.R,
-            guaranteed_ratio=special_form_ratio(instance.delta_K, self.R),
-        )
-
-    def _solve_vectorized(self, instance: MaxMinInstance) -> SpecialFormSolveResult:
-        """The same pipeline over the compiled CSR kernels (see :mod:`.kernels`)."""
+    def _run_kernels(self, comp, **span_attrs):
+        """``(t, s, g_plus, g_minus, x)`` of the §5 pipeline over compiled arrays."""
         from .kernels import (
             batched_upper_bounds,
             g_recursion_kernel,
@@ -334,11 +327,8 @@ class SpecialFormLocalSolver:
             smooth_bounds_kernel,
         )
 
-        comp = instance.compiled()
         r = self.r
-        with obs.span(
-            "solve.special_form", backend="vectorized", agents=comp.num_agents
-        ):
+        with obs.span("solve.special_form", agents=comp.num_agents, **span_attrs):
             with obs.span("kernels.upper_bounds"):
                 t = batched_upper_bounds(comp, r, method=self.tu_method, tol=self.tu_tol)
             with obs.span("kernels.smooth"):
@@ -347,9 +337,14 @@ class SpecialFormLocalSolver:
                 g_plus, g_minus = g_recursion_kernel(comp, s, r)
             with obs.span("kernels.output"):
                 x = output_kernel(g_plus, g_minus, self.R)
-        return self._package_vectorized(instance, t, s, g_plus, g_minus, x)
+        return t, s, g_plus, g_minus, x
 
-    def _package_vectorized(
+    def solve(self, instance: MaxMinInstance) -> SpecialFormSolveResult:
+        """Run the full §5 algorithm on a special-form instance."""
+        require_special_form(instance)
+        return self._package(instance, *self._run_kernels(instance.compiled()))
+
+    def _package(
         self,
         instance: MaxMinInstance,
         t,
@@ -386,63 +381,37 @@ class SpecialFormLocalSolver:
         deduplication spans the batch, so structurally identical trees of
         *different* instances share one bisection.  Every kernel reduces over
         per-agent segments that never cross block boundaries, so each
-        instance's outputs are bitwise identical to a solo
-        ``backend="vectorized"`` solve.
+        instance's outputs are bitwise identical to a solo :meth:`solve`.
 
-        The ``reference`` backend and the ``tu_method="lp"`` path (which
-        needs a live instance per tree) fall back to per-instance solves.
+        The ``tu_method="lp"`` path (which needs a live instance per tree)
+        falls back to per-instance solves.
         """
         instances = list(instances)
         if not instances:
             return []
-        if self.backend == "reference" or self.tu_method == "lp" or len(instances) == 1:
+        if self.tu_method == "lp" or len(instances) == 1:
             return [self.solve(instance) for instance in instances]
 
         from ..core.compiled import stack_compiled
-        from .kernels import (
-            batched_upper_bounds,
-            g_recursion_kernel,
-            output_kernel,
-            smooth_bounds_kernel,
-        )
 
         for instance in instances:
             require_special_form(instance)
         stacked = stack_compiled([instance.compiled() for instance in instances])
-        r = self.r
-        with obs.span(
-            "solve.special_form",
-            backend="vectorized",
-            agents=stacked.num_agents,
-            batch=len(instances),
-        ):
-            with obs.span("kernels.upper_bounds"):
-                t = batched_upper_bounds(stacked, r, method=self.tu_method, tol=self.tu_tol)
-            with obs.span("kernels.smooth"):
-                s = smooth_bounds_kernel(stacked, t, r)
-            with obs.span("kernels.g_recursion"):
-                g_plus, g_minus = g_recursion_kernel(stacked, s, r)
-            with obs.span("kernels.output"):
-                x = output_kernel(g_plus, g_minus, self.R)
+        t, s, g_plus, g_minus, x = self._run_kernels(stacked, batch=len(instances))
         return [
-            self._package_vectorized(
-                instance, t[sl], s[sl], g_plus[:, sl], g_minus[:, sl], x[sl]
-            )
+            self._package(instance, t[sl], s[sl], g_plus[:, sl], g_minus[:, sl], x[sl])
             for instance, sl in zip(instances, stacked.agent_slices())
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SpecialFormLocalSolver(R={self.R}, tu_method={self.tu_method!r}, "
-            f"backend={self.backend!r})"
-        )
+        return f"SpecialFormLocalSolver(R={self.R}, tu_method={self.tu_method!r})"
 
 
 class IncrementalSolveState:
     """Retained kernel arrays of one instance, re-solvable per delta.
 
     Holds the full §5 pipeline outputs (``t``, ``s``, ``g±``, ``x``) of the
-    vectorized backend and, given a
+    compiled kernels and, given a
     :class:`~repro.core.compiled.DeltaResult`, re-runs each stage only on
     the dirty r-ball and splices the results back in:
 
@@ -461,7 +430,7 @@ class IncrementalSolveState:
     :func:`~repro.distributed.dynamics.local_horizon_radius`, the paper's
     §1.3 locality bound that :func:`measure_change_impact` checks
     empirically.  The spliced state is bitwise identical to a from-scratch
-    vectorized solve of the edited instance (pinned by
+    solve of the edited instance (pinned by
     ``tests/test_incremental.py``); per-tick cost is O(changed · r-ball)
     instead of O(n).
     """
@@ -469,31 +438,11 @@ class IncrementalSolveState:
     __slots__ = ("solver", "instance", "comp", "t", "s", "g_plus", "g_minus", "x", "last_recompute")
 
     def __init__(self, solver: SpecialFormLocalSolver, instance: MaxMinInstance) -> None:
-        if solver.backend != "vectorized":
-            raise ValueError("IncrementalSolveState requires the vectorized backend")
-        from .kernels import (
-            batched_upper_bounds,
-            g_recursion_kernel,
-            output_kernel,
-            smooth_bounds_kernel,
-        )
-
         require_special_form(instance)
         self.solver = solver
         self.instance = instance
         self.comp = instance.compiled()
-        r = solver.r
-        with obs.span("solve.special_form", backend="vectorized", agents=self.comp.num_agents):
-            with obs.span("kernels.upper_bounds"):
-                self.t = batched_upper_bounds(
-                    self.comp, r, method=solver.tu_method, tol=solver.tu_tol
-                )
-            with obs.span("kernels.smooth"):
-                self.s = smooth_bounds_kernel(self.comp, self.t, r)
-            with obs.span("kernels.g_recursion"):
-                self.g_plus, self.g_minus = g_recursion_kernel(self.comp, self.s, r)
-            with obs.span("kernels.output"):
-                self.x = output_kernel(self.g_plus, self.g_minus, solver.R)
+        self.t, self.s, self.g_plus, self.g_minus, self.x = solver._run_kernels(self.comp)
         self.last_recompute = None
 
     # ------------------------------------------------------------------
@@ -503,7 +452,7 @@ class IncrementalSolveState:
 
     def result(self) -> SpecialFormSolveResult:
         """Package the current state (copies — the state keeps mutating)."""
-        return self.solver._package_vectorized(
+        return self.solver._package(
             self.instance,
             self.t.copy(),
             self.s.copy(),

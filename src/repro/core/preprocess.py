@@ -31,20 +31,18 @@ Notes on the individual cases
 * Removal can cascade (an agent whose only objective was removed becomes
   non-contributing), so the cleanup iterates to a fixed point.
 
-Backends
---------
-:func:`preprocess` takes ``backend="vectorized"`` (default) or
-``backend="reference"``.  The vectorized backend runs the fixed point as
-iterative degree-peeling over the compiled CSR arrays
-(:meth:`MaxMinInstance.compiled`): per-node *live-degree* counters, one
-:func:`numpy.flatnonzero` scan per phase and frontier updates via
-``np.bincount`` over the gathered adjacency rows of just-removed nodes.  Both
-backends produce identical removed sets, flags and lift behaviour (pinned by
-``tests/test_record_path.py``); the reference backend is the readable
-per-node oracle.  When nothing is removed, both backends return the original
-instance object itself as the cleaned instance, so downstream per-instance
-caches (``compiled()``, the §4 transform cache) stay warm across repeated
-solves.
+Implementation
+--------------
+:func:`preprocess` runs the fixed point as iterative degree-peeling over the
+compiled CSR arrays (:meth:`MaxMinInstance.compiled`): per-node
+*live-degree* counters, one :func:`numpy.flatnonzero` scan per phase and
+frontier updates via ``np.bincount`` over the gathered adjacency rows of
+just-removed nodes.  :func:`reference_preprocess` is the readable per-node
+oracle; both produce identical removed sets, flags and lift behaviour
+(pinned by ``tests/test_record_path.py``).  When nothing is removed, both
+return the original instance object itself as the cleaned instance, so
+downstream per-instance caches (``compiled()``, the §4 transform cache) stay
+warm across repeated solves.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from .compiled import _segment_gather
 from .instance import MaxMinInstance
 from .solution import Solution
 
-__all__ = ["PreprocessResult", "preprocess"]
+__all__ = ["PreprocessResult", "preprocess", "reference_preprocess"]
 
 
 class PreprocessResult:
@@ -190,7 +188,7 @@ class PreprocessResult:
 
 
 class _FixedPoint:
-    """Outcome of one backend's degenerate-structure fixed point.
+    """Outcome of one degenerate-structure fixed point.
 
     ``agents`` / ``constraints`` / ``objectives`` are the *surviving* nodes
     in canonical (declaration) order — ready to feed
@@ -499,34 +497,34 @@ def _materialize_cleaned(instance: MaxMinInstance, fp: _FixedPoint, name: str) -
     )
 
 
-def preprocess(instance: MaxMinInstance, *, backend: str = "vectorized") -> PreprocessResult:
+def preprocess(instance: MaxMinInstance) -> PreprocessResult:
     """Remove degenerate structure from an instance (see module docstring).
 
-    ``backend="vectorized"`` (default) runs the fixed point as degree-peeling
-    over the compiled CSR arrays; ``backend="reference"`` keeps the per-node
-    oracle.  Both produce identical removed sets, flags and lift behaviour.
-
-    The result is cached on the (immutable) instance per backend, like
+    The fixed point runs as degree-peeling over the compiled CSR arrays.
+    The result is cached on the (immutable) instance, like
     :meth:`MaxMinInstance.compiled`: repeated solves of one instance clean it
     once and share the same cleaned-instance object, keeping its compiled
     view and §4 transform cache warm across an R-sweep.  Treat the result as
     read-only.
     """
     cached = instance._preprocess_cache
-    if cached is not None and backend in cached:
+    if cached is not None:
         obs.count("preprocess.cache_hits")
-        return cached[backend]
+        return cached
     obs.count("preprocess.runs")
-    with obs.span("solve.preprocess", agents=instance.num_agents, backend=backend):
-        if backend == "vectorized":
-            fp = _vectorized_fixed_point(instance)
-        elif backend == "reference":
-            fp = _reference_fixed_point(instance)
-        else:
-            raise ValueError(
-                f"unknown preprocess backend {backend!r} (expected 'vectorized' or 'reference')"
-            )
+    with obs.span("solve.preprocess", agents=instance.num_agents):
+        fp = _vectorized_fixed_point(instance)
+    instance._preprocess_cache = _result_from_fixed_point(instance, fp)
+    return instance._preprocess_cache
 
+
+def reference_preprocess(instance: MaxMinInstance) -> PreprocessResult:
+    """:func:`preprocess` through the per-node fixed point (oracle, uncached)."""
+    return _result_from_fixed_point(instance, _reference_fixed_point(instance))
+
+
+def _result_from_fixed_point(instance: MaxMinInstance, fp: _FixedPoint) -> PreprocessResult:
+    """Flags, cleaned instance and lift data of one fixed point."""
     optimum_is_zero = fp.optimum_is_zero
     optimum_is_unbounded = not optimum_is_zero and not fp.objectives and bool(instance.objectives)
     if not instance.objectives:
@@ -554,7 +552,7 @@ def preprocess(instance: MaxMinInstance, *, backend: str = "vectorized") -> Prep
         # caches (compiled view, §4 transform results) survive preprocessing.
         cleaned = instance
 
-    result = PreprocessResult(
+    return PreprocessResult(
         original=instance,
         instance=cleaned,
         forced_zero_agents=tuple(fp.forced_zero),
@@ -564,7 +562,3 @@ def preprocess(instance: MaxMinInstance, *, backend: str = "vectorized") -> Prep
         optimum_is_zero=optimum_is_zero,
         optimum_is_unbounded=optimum_is_unbounded,
     )
-    if instance._preprocess_cache is None:
-        instance._preprocess_cache = {}
-    instance._preprocess_cache[backend] = result
-    return result

@@ -9,10 +9,11 @@ Two synchronous rounds therefore suffice — the protocol is mostly useful as
 the baseline for the round/message accounting of experiment E5 and as the
 simplest possible example of a protocol on the runtime.
 
-Both runtime backends are implemented: the per-node classes below run on the
-dict-based oracle, and :class:`VectorizedSafeProtocol` runs the identical
-exchange on the int-indexed message plane (degrees go out as one
-``np.repeat``, the safe share comes back as one segment-min).
+:class:`VectorizedSafeProtocol` runs the exchange on the int-indexed
+message plane (degrees go out as one ``np.repeat``, the safe share comes
+back as one segment-min).  The per-node classes below run the identical
+exchange on :meth:`SynchronousRuntime.run`: the dict-based oracle, and the
+path ``measure_bytes=True`` takes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "SafeSilentNode",
     "VectorizedSafeProtocol",
     "DistributedSafeSolver",
+    "safe_node_factory",
 ]
 
 #: The safe protocol's local horizon.
@@ -130,7 +132,7 @@ class VectorizedSafeProtocol(VectorizedProtocol):
         return self._x
 
 
-def _safe_node_factory(network: CommunicationNetwork, graph_node) -> ProtocolNode:
+def safe_node_factory(network: CommunicationNetwork, graph_node) -> ProtocolNode:
     local_input = network.local_input(graph_node)
     if local_input.kind is NodeType.AGENT:
         return SafeAgentNode(graph_node, local_input)
@@ -142,19 +144,12 @@ def _safe_node_factory(network: CommunicationNetwork, graph_node) -> ProtocolNod
 class DistributedSafeSolver:
     """Run the safe algorithm as a 2-round message-passing protocol.
 
-    Parameters
-    ----------
-    backend:
-        ``"vectorized"`` (default) drives the protocol over the int-indexed
-        message plane; ``"reference"`` walks the per-node dicts.  Byte
-        accounting needs real message objects, so ``measure_bytes=True``
-        always takes the reference path.
+    The protocol runs over the int-indexed message plane.  Byte accounting
+    needs real message objects, so ``measure_bytes=True`` walks the per-node
+    dicts (:func:`safe_node_factory`) instead.
     """
 
-    def __init__(self, *, backend: str = "vectorized", measure_bytes: bool = False) -> None:
-        if backend not in ("vectorized", "reference"):
-            raise ValueError(f"unknown backend {backend!r} (expected 'vectorized' or 'reference')")
-        self.backend = backend
+    def __init__(self, *, measure_bytes: bool = False) -> None:
         self.measure_bytes = measure_bytes
 
     @property
@@ -163,16 +158,16 @@ class DistributedSafeSolver:
 
     def solve(self, instance: MaxMinInstance) -> Tuple[Solution, RunResult]:
         require_nondegenerate(instance)
-        if self.backend == "vectorized" and not self.measure_bytes:
+        if not self.measure_bytes:
             runtime = SynchronousRuntime(plane=MessagePlane(instance))
             result = runtime.run_vectorized(VectorizedSafeProtocol(), rounds=SAFE_ALGORITHM_ROUNDS)
         else:
             network = build_network(instance)
             runtime = SynchronousRuntime(network, measure_bytes=self.measure_bytes)
-            result = runtime.run(_safe_node_factory, rounds=SAFE_ALGORITHM_ROUNDS)
+            result = runtime.run(safe_node_factory, rounds=SAFE_ALGORITHM_ROUNDS)
         require_agent_outputs(instance, result)
         solution = Solution(instance, result.outputs, label="distributed-safe")
         return solution, result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DistributedSafeSolver(backend={self.backend!r})"
+        return f"DistributedSafeSolver(measure_bytes={self.measure_bytes!r})"

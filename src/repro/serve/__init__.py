@@ -11,8 +11,8 @@ robustness as the first-class design:
   or the server default) propagated into the solver via
   :func:`repro.engine.resilience.call_with_timeout`; a blown deadline is a
   structured ``deadline_exceeded`` response, never a hang.
-* **Degradation ladder** — vectorized → reference → §1.3 safe baseline,
-  guarded by per-backend circuit breakers.  The safe baseline is a
+* **Degradation ladder** — §5 local algorithm → §1.3 safe baseline, the
+  §5 rung guarded by a circuit breaker.  The safe baseline is a
   constant-round *feasible* approximation, so a request that cannot finish
   a full §5/§4 solve inside its deadline still gets a provably feasible
   allocation, tagged ``degraded: true`` with the reason.

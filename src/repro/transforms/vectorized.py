@@ -784,7 +784,6 @@ def vectorized_to_special_form(
     metadata: Dict[str, object] = {
         "stages": list(st.stage_names),
         "stage_ratio_factors": list(st.stage_factors),
-        "backend": "vectorized",
         "stage_metadata": list(st.stage_metadata),
     }
     return CompiledTransformResult(

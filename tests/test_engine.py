@@ -17,6 +17,7 @@ The engine's contracts, in decreasing order of importance:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -399,14 +400,28 @@ class TestBatchedDispatch:
         assert code == 2
         assert "in-process" in capsys.readouterr().err
 
-    def test_transform_backend_is_part_of_cache_key(self):
-        instance = small_family()[0]
-        jobs_auto = make_jobs_for_instance(instance, R_values=(3,), include_safe=False)
-        jobs_ref = make_jobs_for_instance(
-            instance, R_values=(3,), include_safe=False, transform_backend="reference"
-        )
-        version = registry.solver_version("local")
-        assert jobs_auto[0].cache_key(version) != jobs_ref[0].cache_key(version)
+    def test_legacy_backend_keyed_entries_are_counted_misses(self, tmp_path):
+        """Entries keyed by the old backend-selecting params are never reused.
+
+        ``local`` jobs used to carry ``backend``/``transform_backend`` at
+        version "3", ``safe`` jobs ``backend`` at version "2".  A cache full
+        of those keys must make every job of a re-run a counted miss.
+        """
+        batch = ratio_sweep_batch(small_family()[:1], R_values=(2, 3))
+        legacy = {
+            "local": ("3", {"backend": "vectorized", "transform_backend": "auto"}),
+            "safe": ("2", {"backend": "vectorized"}),
+        }
+        cache = ResultCache(tmp_path / "cache")
+        for spec in batch.jobs:
+            version, old_params = legacy[spec.algorithm]
+            old_spec = replace(spec, params=tuple(sorted({**spec.param_dict(), **old_params}.items())))
+            cache.put(old_spec.cache_key(version), [{"stale": True}])
+        result = run_batch(batch, cache=cache)
+        assert result.cached_jobs == 0
+        assert result.executed_jobs == len(batch.jobs) == 3
+        assert cache.stats()["misses"] == 3 and cache.stats()["hits"] == 0
+        assert all("stale" not in record for record in result.records)
 
     def test_execute_jobs_batched_mixed_algorithms(self):
         instance = small_family()[0]

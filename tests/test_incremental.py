@@ -28,7 +28,7 @@ from repro.algo.local_solver import IncrementalSolveState, SpecialFormLocalSolve
 from repro.cli import main
 from repro.core.compiled import CompiledInstance
 from repro.core.instance import MaxMinInstance
-from repro.core.preprocess import preprocess
+from repro.core.preprocess import preprocess, reference_preprocess
 from repro.distributed.dynamics import (
     DynamicNetwork,
     changed_agent_positions,
@@ -682,8 +682,8 @@ def test_preprocess_array_materialisation_matches_sub_instance():
         ("k3", "e"): 1.0,
     }
     inst = MaxMinInstance(agents, cons, objs, a, c, name="degen")
-    pre = preprocess(inst, backend="vectorized")
-    ref = preprocess(inst, backend="reference")
+    pre = preprocess(inst)
+    ref = reference_preprocess(inst)
     assert pre.instance == ref.instance
     assert instance_digest(pre.instance) == instance_digest(ref.instance)
     sub = inst.sub_instance(

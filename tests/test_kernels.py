@@ -1,12 +1,12 @@
-"""Backend-equivalence and unit tests for the vectorized solver kernels.
+"""Oracle-equivalence and unit tests for the vectorized solver kernels.
 
-The vectorized backend (``repro.algo.kernels`` over a
+The solver (``repro.algo.kernels`` over a
 :class:`~repro.core.compiled.CompiledInstance`) must agree with the
-per-node reference implementation on every quantity the §5 pipeline
-produces: the per-agent bounds ``t_u``, the smoothed bounds ``s_v``, the
-output vector ``x`` and its utility — within 1e-9, across every generator
-family and both ``tu_method`` values.  These tests are the contract that
-lets the vectorized backend be the default.
+per-node oracle (:func:`repro.algo.local_solver.reference_solve`) on every
+quantity the §5 pipeline produces: the per-agent bounds ``t_u``, the
+smoothed bounds ``s_v``, the output vector ``x`` and its utility — within
+1e-9, across every generator family and both ``tu_method`` values.  These
+tests are the contract that lets the kernels be the only production path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from repro.algo.kernels import (
     output_kernel,
     smooth_bounds_kernel,
 )
-from repro.algo.local_solver import SpecialFormLocalSolver
+from repro.algo.local_solver import (
+    SpecialFormLocalSolver,
+    compute_g_recursion,
+    output_vector,
+    reference_solve,
+)
 from repro.algo.upper_bound import compute_upper_bounds, smooth_upper_bounds
 from repro.core.compiled import CompiledInstance
 from repro.exceptions import NotSpecialFormError
@@ -66,9 +71,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("case_id,instance", CASES, ids=CASE_IDS)
     @pytest.mark.parametrize("R", [2, 3, 5])
     def test_recursion_backend_equivalence(self, case_id, instance, R):
-        """Vectorized and reference agree on t_u, s_v, x and utility (1e-9)."""
-        ref = SpecialFormLocalSolver(R=R, backend="reference").solve(instance)
-        vec = SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
+        """Solver and oracle agree on t_u, s_v, x and utility (1e-9)."""
+        ref = reference_solve(instance, R)
+        vec = SpecialFormLocalSolver(R=R).solve(instance)
         assert vec.utility() == pytest.approx(ref.utility(), abs=TOL)
         for v in instance.agents:
             assert vec.upper_bounds[v] == pytest.approx(ref.upper_bounds[v], abs=TOL)
@@ -78,9 +83,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("case_id,instance", CASES[:4], ids=CASE_IDS[:4])
     @pytest.mark.parametrize("R", [2, 3])
     def test_lp_backend_equivalence(self, case_id, instance, R):
-        """The tu_method="lp" path agrees across backends too (LP tolerance)."""
-        ref = SpecialFormLocalSolver(R=R, tu_method="lp", backend="reference").solve(instance)
-        vec = SpecialFormLocalSolver(R=R, tu_method="lp", backend="vectorized").solve(instance)
+        """The tu_method="lp" path agrees with the oracle too (LP tolerance)."""
+        ref = reference_solve(instance, R, tu_method="lp")
+        vec = SpecialFormLocalSolver(R=R, tu_method="lp").solve(instance)
         for v in instance.agents:
             assert vec.upper_bounds[v] == pytest.approx(ref.upper_bounds[v], abs=1e-7)
             assert vec.solution[v] == pytest.approx(ref.solution[v], abs=1e-7)
@@ -89,8 +94,8 @@ class TestBackendEquivalence:
     def test_g_tables_match(self, R):
         """The full g± tables agree entry-wise, not just their Eq. 18 sum."""
         instance = random_special_form_instance(16, delta_K=3, constraint_rounds=2, seed=11)
-        ref = SpecialFormLocalSolver(R=R, backend="reference").solve(instance)
-        vec = SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
+        ref = reference_solve(instance, R)
+        vec = SpecialFormLocalSolver(R=R).solve(instance)
         for d in range(ref.g.r + 1):
             for v in instance.agents:
                 assert vec.g.plus(v, d) == pytest.approx(ref.g.plus(v, d), abs=TOL)
@@ -206,10 +211,10 @@ class TestKernelPieces:
     def test_g_recursion_and_output_match_reference_methods(self):
         instance = regular_special_form_instance(4, 3, constraint_rounds=2, seed=19)
         comp = instance.compiled()
-        solver = SpecialFormLocalSolver(R=4, backend="reference")
+        solver = SpecialFormLocalSolver(R=4)
         t = compute_upper_bounds(instance, solver.r)
         s = smooth_upper_bounds(instance, t, solver.r)
-        g_ref = solver.compute_g_recursion(instance, s)
+        g_ref = compute_g_recursion(instance, s, solver.r)
         s_vec = np.asarray([s[v] for v in comp.agents])
         g_plus, g_minus = g_recursion_kernel(comp, s_vec, solver.r)
         for d in range(solver.r + 1):
@@ -217,7 +222,7 @@ class TestKernelPieces:
                 assert g_plus[d][idx] == pytest.approx(g_ref.plus(v, d), abs=TOL)
                 assert g_minus[d][idx] == pytest.approx(g_ref.minus(v, d), abs=TOL)
         x = output_kernel(g_plus, g_minus, solver.R)
-        x_ref = solver.output_vector(instance, g_ref)
+        x_ref = output_vector(instance, g_ref, solver.R)
         for idx, v in enumerate(comp.agents):
             assert x[idx] == pytest.approx(x_ref[v], abs=TOL)
 
@@ -230,7 +235,7 @@ class TestKernelPieces:
         np.testing.assert_allclose(partial, full[subset], atol=0.0)
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one implementation: no selector to pass
             SpecialFormLocalSolver(R=3, backend="numpy")
         with pytest.raises(ValueError):
             batched_upper_bounds(cycle_instance(4).compiled(), 1, method="nope")

@@ -58,7 +58,7 @@ def test_disabled_overhead_is_under_two_percent_of_reference_solve():
     time.
     """
     instance = cycle_instance(512, coefficient_range=(0.5, 2.0), seed=3)
-    solver = SpecialFormLocalSolver(R=3, backend="vectorized")
+    solver = SpecialFormLocalSolver(R=3)
     solver.solve(instance)  # warm caches (compiled view, transforms)
     t_solve = min(
         _timed(lambda: solver.solve(instance)) for _ in range(3)
@@ -229,7 +229,7 @@ def test_lazy_result_skips_dict_materialization_in_sweeps():
 
 def test_lazy_result_materializes_on_dict_access():
     instance = cycle_instance(8, coefficient_range=(0.5, 2.0), seed=5)
-    solver = SpecialFormLocalSolver(R=3, backend="vectorized")
+    solver = SpecialFormLocalSolver(R=3)
     obs.configure(enabled=True)
     result = solver.solve(instance)
     before = obs.snapshot()["counters"]

@@ -2,18 +2,18 @@
 
 Pins the contracts of the vectorized evaluation-and-preparation layer:
 
-* ``preprocess(backend="vectorized")`` produces identical removed sets,
-  flags, cleaned instances and lift behaviour to the reference fixed point —
+* ``preprocess`` produces identical removed sets, flags, cleaned instances
+  and lift behaviour to the per-node oracle ``reference_preprocess`` —
   over the shared generator families, hand-built degenerate instances,
   empty instances and hypothesis-generated random (possibly degenerate)
   instances;
 * array-backed :class:`~repro.core.solution.Solution` evaluation is
-  *bitwise* identical to the dict oracle (loads, utilities, objective
+  *bitwise* identical to the ``dict_*`` oracle (loads, utilities, objective
   values) with identical feasibility verdicts, and the cached passes are
   shared (utility + bottleneck = one objective pass, repeated feasibility
   checks = one load pass);
-* §4 transform results are cached on the instance per ``(backend, verify)``
-  key — an R-sweep over one instance runs the pipeline exactly once, and
+* §4 transform results are cached on the instance per ``verify`` flag —
+  an R-sweep over one instance runs the pipeline exactly once, and
   cached transforms never leak across content digests in the engine;
 * mid-bisection active-set compaction is bitwise-neutral.
 """
@@ -33,7 +33,7 @@ from repro.analysis.ratios import compare_algorithms
 from repro.core.builder import InstanceBuilder
 from repro.core.compiled import stack_compiled
 from repro.core.instance import MaxMinInstance
-from repro.core.preprocess import preprocess
+from repro.core.preprocess import preprocess, reference_preprocess
 from repro.core.solution import Solution
 from repro.generators import cycle_instance, random_special_form_instance
 from repro.transforms.pipeline import to_special_form
@@ -92,8 +92,8 @@ def fixed_instances():
 
 
 def assert_preprocess_equivalent(instance: MaxMinInstance) -> None:
-    ref = preprocess(instance, backend="reference")
-    vec = preprocess(instance, backend="vectorized")
+    ref = reference_preprocess(instance)
+    vec = preprocess(instance)
     assert set(ref.forced_zero_agents) == set(vec.forced_zero_agents)
     assert set(ref.unconstrained_agents) == set(vec.unconstrained_agents)
     assert set(ref.removed_constraints) == set(vec.removed_constraints)
@@ -125,12 +125,12 @@ class TestVectorizedPreprocess:
         assert_preprocess_equivalent(instance)
 
     def test_unknown_backend_rejected(self, tiny_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one implementation: no selector to pass
             preprocess(tiny_instance, backend="nope")
 
     def test_unchanged_instance_returned_as_is(self, tiny_instance):
-        for backend in ("vectorized", "reference"):
-            pre = preprocess(tiny_instance, backend=backend)
+        for run in (preprocess, reference_preprocess):
+            pre = run(tiny_instance)
             assert not pre.changed
             assert pre.instance is tiny_instance
 
@@ -151,7 +151,7 @@ class TestVectorizedPreprocess:
         builder.add_constraint_term("ib", "b", 1.0)
         builder.add_objective_term("k2", "b", 1.0)
         builder.add_objective_term("k2", "free", 1.0)
-        pre = preprocess(builder.build(), backend="vectorized")
+        pre = preprocess(builder.build())
         assert "free" in pre.unconstrained_agents
         assert "b" in pre.forced_zero_agents
         assert "ib" in pre.removed_constraints
@@ -184,18 +184,18 @@ class TestArrayBackedSolution:
         for j, i in enumerate(instance.constraints):
             assert loads[j] == dict_sol.constraint_load(i)
         # Objective values and utility: bitwise.
-        assert arr_sol.objective_values() == dict_sol.objective_values(backend="dict")
-        assert arr_sol.utility() == dict_sol.utility(backend="dict")
+        assert arr_sol.objective_values() == dict_sol.dict_objective_values()
+        assert arr_sol.utility() == dict_sol.dict_utility()
         # Feasibility: identical verdicts, violations and max violation.
         for tol in (1e-9, 0.0, 0.5):
             ra = arr_sol.check_feasibility(tol)
-            rd = dict_sol.check_feasibility(tol, backend="dict")
+            rd = dict_sol.dict_check_feasibility(tol)
             assert ra.feasible == rd.feasible
             assert ra.max_violation == rd.max_violation
             assert set(ra.violated_constraints) == set(rd.violated_constraints)
             assert set(ra.negative_agents) == set(rd.negative_agents)
         # Bottlenecks: identical (both in canonical objective order).
-        assert arr_sol.bottleneck_objectives() == dict_sol.bottleneck_objectives(backend="dict")
+        assert arr_sol.bottleneck_objectives() == dict_sol.dict_bottleneck_objectives()
 
     def test_empty_instance(self):
         inst = MaxMinInstance([], [], [], {}, {}, name="empty")
@@ -249,7 +249,7 @@ class TestArrayBackedSolution:
 
     def test_unknown_backend_rejected(self, tiny_instance):
         sol = Solution(tiny_instance, {"a": 0.1, "b": 0.1})
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one implementation: no selector to pass
             sol.utility(backend="nope")
 
 
@@ -274,13 +274,12 @@ class TestTransformCache:
         assert first is second
         assert len(calls) == 1
 
-    def test_cache_keyed_per_backend_and_verify(self, general_instance):
-        a = to_special_form(general_instance, backend="vectorized", verify=True)
-        b = to_special_form(general_instance, backend="vectorized", verify=False)
-        c = to_special_form(general_instance, backend="reference", verify=True)
-        assert a is not b and a is not c
-        assert a is to_special_form(general_instance, backend="vectorized", verify=True)
-        assert c is to_special_form(general_instance, backend="reference", verify=True)
+    def test_cache_keyed_per_verify(self, general_instance):
+        a = to_special_form(general_instance, verify=True)
+        b = to_special_form(general_instance, verify=False)
+        assert a is not b
+        assert a is to_special_form(general_instance, verify=True)
+        assert b is to_special_form(general_instance, verify=False)
 
     def test_named_results_are_not_cached(self, general_instance):
         a = to_special_form(general_instance, name="custom")

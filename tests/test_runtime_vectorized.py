@@ -2,9 +2,11 @@
 
 Pins three contracts introduced with the vectorized runtime:
 
-* the safe baseline's two backends agree exactly (identical arithmetic per
-  edge), centralized and distributed, across every generator family;
-* the vectorized runtime reproduces the dict-based oracle for the E5 local
+* the safe baseline agrees exactly with its per-node oracle (identical
+  arithmetic per edge), centralized and distributed, across every generator
+  family;
+* the vectorized runtime reproduces the dict-based oracle
+  (:meth:`SynchronousRuntime.run` with the node factories) for the E5 local
   protocol — outputs, round counts and per-round message statistics;
 * a protocol whose agents fail to produce output raises instead of silently
   yielding a "feasible" all-zero solution (regression).
@@ -17,14 +19,17 @@ import pytest
 
 from repro._types import NodeType
 from repro.algo.local_solver import SpecialFormLocalSolver
-from repro.algo.safe_algorithm import SafeAlgorithm, safe_solution
+from repro.algo.safe_algorithm import SafeAlgorithm, reference_safe_solution, safe_solution
 from repro.core.solution import Solution
 from repro.distributed import (
+    SAFE_ALGORITHM_ROUNDS,
     DistributedLocalSolver,
     DistributedSafeSolver,
     MessagePlane,
+    PhaseSchedule,
     SynchronousRuntime,
     build_network,
+    maxmin_node_factory,
 )
 from repro.distributed import agents as agents_mod
 from repro.distributed import safe_agents as safe_agents_mod
@@ -38,19 +43,36 @@ def _nondegenerate_general_family():
     return [inst for inst in general_family() if not inst.is_degenerate()]
 
 
+def _oracle_local_run(instance, R):
+    """The §5 protocol on the per-node dict runtime."""
+    schedule = PhaseSchedule(R)
+    run = SynchronousRuntime(build_network(instance)).run(
+        maxmin_node_factory(schedule), rounds=schedule.total_rounds
+    )
+    return Solution(instance, run.outputs), run
+
+
+def _oracle_safe_run(instance):
+    """The safe protocol on the per-node dict runtime."""
+    run = SynchronousRuntime(build_network(instance)).run(
+        safe_agents_mod.safe_node_factory, rounds=SAFE_ALGORITHM_ROUNDS
+    )
+    return Solution(instance, run.outputs), run
+
+
 class TestSafeBackendEquivalence:
     @pytest.mark.parametrize("variant", ["degree", "delta"])
     def test_centralized_backends_agree_exactly(self, variant):
         for instance in special_form_family() + _nondegenerate_general_family():
-            ref = safe_solution(instance, variant=variant, backend="reference")
-            vec = safe_solution(instance, variant=variant, backend="vectorized")
+            ref = reference_safe_solution(instance, variant=variant)
+            vec = safe_solution(instance, variant=variant)
             for v in instance.agents:
                 assert vec[v] == ref[v]  # identical arithmetic, not just close
 
     def test_delta_override_agrees(self):
         instance = cycle_instance(6, coefficient_range=(0.5, 2.0), seed=3)
-        ref = safe_solution(instance, variant="delta", delta_I=7, backend="reference")
-        vec = safe_solution(instance, variant="delta", delta_I=7, backend="vectorized")
+        ref = reference_safe_solution(instance, variant="delta", delta_I=7)
+        vec = safe_solution(instance, variant="delta", delta_I=7)
         for v in instance.agents:
             assert vec[v] == ref[v]
 
@@ -59,33 +81,37 @@ class TestSafeBackendEquivalence:
         instance = cycle_instance(4)
         with pytest.raises(ValueError, match="delta_I"):
             safe_solution(instance, variant="degree", delta_I=5)
+        with pytest.raises(ValueError, match="delta_I"):
+            reference_safe_solution(instance, variant="degree", delta_I=5)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        # One implementation each: there is no selector to pass.
+        with pytest.raises(TypeError):
             safe_solution(cycle_instance(4), backend="gpu")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SafeAlgorithm(backend="gpu")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DistributedSafeSolver(backend="gpu")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DistributedLocalSolver(backend="gpu")
 
     def test_safe_algorithm_wrapper_backends_agree(self):
         for instance in _nondegenerate_general_family():
-            ref = SafeAlgorithm(backend="reference").solve(instance)
-            vec = SafeAlgorithm(backend="vectorized").solve(instance)
+            ref = reference_safe_solution(instance)
+            vec = SafeAlgorithm().solve(instance)
             for v in instance.agents:
                 assert vec[v] == ref[v]
 
     def test_distributed_matches_centralized_all_families(self):
-        for backend in ("vectorized", "reference"):
-            solver = DistributedSafeSolver(backend=backend)
-            for instance in special_form_family() + _nondegenerate_general_family():
-                central = safe_solution(instance, variant="degree", backend=backend)
-                distributed, run = solver.solve(instance)
-                assert run.rounds == safe_agents_mod.SAFE_ALGORITHM_ROUNDS
-                for v in instance.agents:
-                    assert distributed[v] == central[v]
+        for instance in special_form_family() + _nondegenerate_general_family():
+            distributed, run = DistributedSafeSolver().solve(instance)
+            oracle, oracle_run = _oracle_safe_run(instance)
+            central = safe_solution(instance, variant="degree")
+            central_ref = reference_safe_solution(instance, variant="degree")
+            assert run.rounds == oracle_run.rounds == SAFE_ALGORITHM_ROUNDS
+            for v in instance.agents:
+                assert distributed[v] == central[v]
+                assert oracle[v] == central_ref[v]
 
 
 class TestMessagePlane:
@@ -133,13 +159,13 @@ class TestMessagePlane:
 
 
 class TestRuntimeEquivalence:
-    """Vectorized vs reference runtime for the E5 local protocol."""
+    """Vectorized runtime vs the dict-based oracle for the E5 local protocol."""
 
     @pytest.mark.parametrize("R", [2, 3, 4])
     def test_outputs_and_statistics_match_oracle(self, R):
         for instance in special_form_family()[:4]:
-            ref_solution, ref_run = DistributedLocalSolver(R=R, backend="reference").solve(instance)
-            vec_solution, vec_run = DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+            ref_solution, ref_run = _oracle_local_run(instance, R)
+            vec_solution, vec_run = DistributedLocalSolver(R=R).solve(instance)
             assert vec_run.rounds == ref_run.rounds == 12 * (R - 2) + 7
             assert vec_run.total_messages == ref_run.total_messages
             assert [s.messages for s in vec_run.per_round] == [
@@ -151,15 +177,15 @@ class TestRuntimeEquivalence:
     def test_vectorized_matches_centralized_solver(self):
         for R in (2, 3):
             for instance in special_form_family():
-                central = SpecialFormLocalSolver(R=R, backend="vectorized").solve(instance)
-                distributed, _run = DistributedLocalSolver(R=R, backend="vectorized").solve(instance)
+                central = SpecialFormLocalSolver(R=R).solve(instance)
+                distributed, _run = DistributedLocalSolver(R=R).solve(instance)
                 for v in instance.agents:
                     assert distributed[v] == pytest.approx(central.solution[v], abs=1e-9)
 
     def test_vectorized_safe_statistics_match_oracle(self):
         instance = cycle_instance(5)
-        _s, ref_run = DistributedSafeSolver(backend="reference").solve(instance)
-        _s, vec_run = DistributedSafeSolver(backend="vectorized").solve(instance)
+        _s, ref_run = _oracle_safe_run(instance)
+        _s, vec_run = DistributedSafeSolver().solve(instance)
         assert vec_run.total_messages == ref_run.total_messages == 2 * instance.num_constraints
         assert [s.messages for s in vec_run.per_round] == [s.messages for s in ref_run.per_round]
 
@@ -183,12 +209,12 @@ class TestMissingOutputRegression:
     def test_safe_solver_raises_on_silent_agents(self, monkeypatch):
         monkeypatch.setattr(safe_agents_mod.SafeAgentNode, "output", lambda self: None)
         with pytest.raises(SimulationError, match="no\\s+output"):
-            DistributedSafeSolver(backend="reference").solve(cycle_instance(4))
+            DistributedSafeSolver(measure_bytes=True).solve(cycle_instance(4))
 
     def test_local_solver_raises_on_silent_agents(self, monkeypatch):
         monkeypatch.setattr(agents_mod.MaxMinAgentNode, "output", lambda self: None)
         with pytest.raises(SimulationError, match="no\\s+output"):
-            DistributedLocalSolver(R=2, backend="reference").solve(cycle_instance(4))
+            DistributedLocalSolver(R=2, measure_bytes=True).solve(cycle_instance(4))
 
     def test_partial_outputs_also_rejected(self):
         """Even one silent agent out of many must fail the run."""

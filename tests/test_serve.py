@@ -277,7 +277,8 @@ class TestServerBasics:
             assert counters["serve.cache_stores"] >= 1
             assert counters["serve.cache_hits"] >= 1
             assert metrics["cache"]["entries"] >= 1
-            assert set(metrics["breakers"]) == {"vectorized", "reference"}
+            assert set(metrics["breakers"]) == {"local"}
+            assert "resilience" not in metrics
             assert metrics["registry"]["capacity"] == config.registry_capacity
             assert isinstance(metrics["leaked_timeout_threads"], int)
 
@@ -376,7 +377,7 @@ class TestCoalescing:
 
     def test_solo_matches_direct_solver_bitwise(self):
         (inst,) = make_instances(1, size=12)
-        direct = LocalMaxMinSolver(R=3, backend="vectorized").solve(inst)
+        direct = LocalMaxMinSolver(R=3).solve(inst)
         with ServerHandle(ServeConfig(workers=2)) as handle:
             client = handle.client(timeout_s=20)
             status, payload = client.solve(instance=inst, include_values=True)
@@ -388,19 +389,16 @@ class TestCoalescing:
 
 
 class TestDegradationLadder:
-    def test_transient_on_vectorized_degrades_to_reference(self):
+    def test_transient_on_local_degrades_to_safe(self):
         (inst,) = make_instances(1)
-        plan = FaultPlan(
-            seed=7,
-            job_faults=(
-                transient(algorithm="local", params=(("backend", "vectorized"),)),
-            ),
-        )
+        # Attempt 0 of the §5 rung fails, coalesced or solo.
+        plan = FaultPlan(seed=7, job_faults=(transient(algorithm="local", attempts=(0,)),))
         with ServerHandle(ServeConfig(workers=2, faults=plan)) as handle:
             client = handle.client(timeout_s=20)
             status, payload = client.solve(instance=inst)
             assert status == 200 and payload["degraded"]
-            assert payload["backend"] == "reference"
+            assert payload["algorithm"].startswith("safe")
+            assert "backend" not in payload
             assert "FaultInjectionError" in payload["degraded_reason"]
             assert payload["result"]["feasible"]
 
@@ -448,11 +446,7 @@ class TestDegradationLadder:
         plan = FaultPlan(
             seed=7,
             job_faults=(
-                transient(
-                    algorithm="local",
-                    params=(("backend", "vectorized"),),
-                    attempts=None,  # poison: every vectorized attempt fails
-                ),
+                transient(algorithm="local", attempts=None),  # poison: every §5 attempt fails
             ),
         )
         config = ServeConfig(
@@ -468,12 +462,33 @@ class TestDegradationLadder:
                 status, payload = client.solve(instance=inst)
                 assert status == 200 and payload["degraded"]
             status, metrics = client.metrics()
-            assert metrics["breakers"]["vectorized"]["state"] == "open"
-            assert metrics["breakers"]["vectorized"]["opens"] >= 1
+            assert metrics["breakers"]["local"]["state"] == "open"
+            assert metrics["breakers"]["local"]["opens"] >= 1
             # With the breaker open the ladder skips the rung outright.
             status, payload = client.solve(instance=inst)
             assert status == 200 and payload["degraded"]
-            assert "breaker_open:vectorized" in payload["degraded_reason"]
+            assert "breaker_open:local" in payload["degraded_reason"]
+
+    def test_open_local_breaker_does_not_gate_safe(self):
+        """Regression: §5 failures once opened a breaker that also gated the safe rung."""
+        (inst,) = make_instances(1)
+        plan = FaultPlan(seed=7, job_faults=(transient(algorithm="local", attempts=None),))
+        config = ServeConfig(
+            workers=1, faults=plan, breaker_failure_threshold=1, breaker_cooldown_s=60.0
+        )
+        with ServerHandle(config) as handle:
+            client = handle.client(timeout_s=20)
+            status, payload = client.solve(instance=inst)
+            assert status == 200 and payload["degraded"]
+            digest = payload["digest"]
+            status, metrics = client.metrics()
+            assert metrics["breakers"]["local"]["state"] == "open"
+            status, payload = client.solve(digest=digest, algorithm="safe", degrade=False)
+            assert status == 200, payload
+            assert not payload["degraded"] and payload["algorithm"].startswith("safe")
+            status, payload = client.solve(digest=digest, algorithm="safe")
+            assert status == 200 and not payload["degraded"]
+            assert payload["degraded_reason"] is None
 
 
 class TestAdmissionControl:
@@ -515,8 +530,8 @@ class TestChaosBarrage:
         plan = FaultPlan(
             seed=11,
             job_faults=(
-                transient(algorithm="local", params=(("backend", "vectorized"),)),
-                hang(0.2, algorithm="local", attempts=(1,)),
+                transient(algorithm="local", attempts=(0,)),  # the §5 rung, coalesced or solo
+                hang(0.2, algorithm="safe", attempts=(1,)),  # the safe rung of a local ladder
             ),
         )
         config = ServeConfig(

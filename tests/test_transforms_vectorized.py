@@ -1,10 +1,11 @@
 """Equivalence property suite for the compiled §4 transformation pipeline.
 
-The contract that lets ``backend="vectorized"`` be the default for
-:func:`repro.transforms.to_special_form`:
+The contract that lets the compiled pipeline be the only production path
+of :func:`repro.transforms.to_special_form`, checked against its oracle
+``apply_chain(instance, canonical_transforms())``:
 
-* the transformed instance is **digest-identical** to the reference
-  pipeline's output — same node ids in the same canonical order,
+* the transformed instance is **digest-identical** to the oracle's
+  output — same node ids in the same canonical order,
   bitwise-equal coefficients (so ``==`` holds exactly and the engine's
   content-addressed cache keys coincide);
 * the composed ratio factor and the per-stage metadata agree;
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algo.general_solver import LocalMaxMinSolver
-from repro.algo.local_solver import SpecialFormLocalSolver
+from repro.algo.local_solver import SpecialFormLocalSolver, special_form_ratio
 from repro.core.builder import InstanceBuilder
 from repro.core.lp import solve_maxmin_lp
 from repro.core.preprocess import preprocess
@@ -39,7 +40,12 @@ from repro.generators import (
     torus_instance,
 )
 from repro.io.serialization import instance_digest, instance_to_json
-from repro.transforms import CompiledTransformResult, to_special_form
+from repro.transforms import (
+    CompiledTransformResult,
+    apply_chain,
+    canonical_transforms,
+    to_special_form,
+)
 from repro.transforms.vectorized import vectorized_to_special_form
 
 from conftest import assert_feasible, build_general_instance, general_family
@@ -110,8 +116,8 @@ CASE_IDS = [case_id for case_id, _ in CASES]
 
 
 def _both_pipelines(clean):
-    ref = to_special_form(clean, backend="reference")
-    vec = to_special_form(clean, backend="vectorized")
+    ref = apply_chain(clean, canonical_transforms(), name="to-special-form (§4)")
+    vec = to_special_form(clean)
     return ref, vec
 
 
@@ -143,7 +149,7 @@ class TestDigestIdentity:
 
     def test_noop_pipeline_returns_same_instance(self):
         special = cycle_instance(8)
-        result = to_special_form(special, backend="vectorized")
+        result = to_special_form(special)
         assert result.transformed is special
         assert not result.changed
         sol = Solution(special, {v: 0.1 for v in special.agents}, label="probe")
@@ -178,7 +184,7 @@ class TestHypothesisEquivalence:
 class TestCompiledTransformResult:
     def test_map_back_array_matches_map_back(self):
         clean = preprocess(build_general_instance()).instance
-        vec = to_special_form(clean, backend="vectorized")
+        vec = to_special_form(clean)
         assert isinstance(vec, CompiledTransformResult)
         lp = solve_maxmin_lp(vec.transformed)
         x = np.asarray([lp.solution[v] for v in vec.transformed.agents])
@@ -197,22 +203,29 @@ class TestCompiledTransformResult:
 
     def test_rejects_degenerate(self, degenerate_instance):
         with pytest.raises(DegenerateInstanceError):
-            to_special_form(degenerate_instance, backend="vectorized")
+            to_special_form(degenerate_instance)
 
     def test_unknown_backend_rejected(self, general_instance):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # one implementation: no selector to pass
             to_special_form(general_instance, backend="turbo")
 
 
 class TestSolverIntegration:
     @pytest.mark.parametrize("case_id,clean", CASES[:6], ids=CASE_IDS[:6])
     def test_transform_backends_agree_end_to_end(self, case_id, clean):
-        ref = LocalMaxMinSolver(R=3, transform_backend="reference").solve(clean)
-        vec = LocalMaxMinSolver(R=3, transform_backend="vectorized").solve(clean)
-        assert vec.status == ref.status
-        assert vec.certificate.guaranteed_ratio == ref.certificate.guaranteed_ratio
+        """The solver equals its general path with the §4 chain oracle swapped in."""
+        vec = LocalMaxMinSolver(R=3).solve(clean)
+        if clean.is_special_form():
+            ref = SpecialFormLocalSolver(R=3).solve(clean).solution
+            ratio = special_form_ratio(clean.delta_K, 3)
+        else:
+            chain = apply_chain(clean, canonical_transforms())
+            ref = chain.map_back(SpecialFormLocalSolver(R=3).solve(chain.transformed).solution)
+            ratio = chain.ratio_factor * special_form_ratio(chain.transformed.delta_K, 3)
+        assert vec.status == "local"
+        assert vec.certificate.guaranteed_ratio == ratio
         for v in clean.agents:
-            assert vec.solution[v] == pytest.approx(ref.solution[v], abs=1e-9)
+            assert vec.solution[v] == pytest.approx(ref[v], abs=1e-9)
 
     def test_solve_many_matches_solve(self):
         instances = [clean for _, clean in CASES[:5]]
