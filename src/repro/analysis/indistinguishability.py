@@ -27,8 +27,6 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .._types import GraphNode, NodeId, agent_node
 from ..core.instance import MaxMinInstance
@@ -182,6 +180,9 @@ def best_local_ratio_bound(
             data.append(optima[idx])
             b_ub.append(0.0)
             row_index += 1
+
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     a_ub = sparse.csr_matrix(
         (np.asarray(data), (np.asarray(rows), np.asarray(cols))), shape=(row_index, num_vars)

@@ -10,9 +10,10 @@ become a handful of :mod:`numpy` gather / segmented-reduce operations.
 
 The lowering is *index-compressed*: agents, constraints and objectives are
 numbered ``0 … n−1`` in their canonical (declaration) order, so positions in
-every array line up with :attr:`MaxMinInstance.agents` etc.  A compiled view
-is built once per instance and cached on the (immutable) instance via
-:meth:`MaxMinInstance.compiled`.
+every array line up with :attr:`MaxMinInstance.agents` etc.  Every
+:class:`MaxMinInstance` constructor builds its compiled view with
+:meth:`CompiledInstance.from_arrays`; :meth:`MaxMinInstance.compiled`
+returns it.
 
 Two layers are exposed:
 
@@ -222,6 +223,11 @@ class CompiledInstance:
     )
 
     def __init__(self, instance: "MaxMinInstance") -> None:
+        """Per-node lowering from the instance's adjacency dicts.
+
+        The reference oracle for :meth:`from_arrays`, which is what every
+        :class:`MaxMinInstance` constructor uses; tests compare the two.
+        """
         self.instance = instance
         self.agents = instance.agents
         self.constraints = instance.constraints

@@ -25,10 +25,11 @@ measured in the benchmarks).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
+import numpy as np
 
+from .. import obs
 from .._types import (
     CoefficientMap,
     GraphNode,
@@ -39,46 +40,104 @@ from .._types import (
     objective_node,
 )
 from ..exceptions import InvalidInstanceError
+from .compiled import CompiledInstance
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["MaxMinInstance", "DegreeStatistics"]
 
 
-def _adjacency_from_csr(owners, members, indptr, indices, coeff):
-    """Adjacency dicts of one CSR side (trusted, see ``from_arrays``).
+def _lower_coefficients(
+    coefficients: Mapping[Tuple[NodeId, NodeId], float],
+    members: Tuple[NodeId, ...],
+    member_index: Dict[NodeId, int],
+    agents: Tuple[NodeId, ...],
+    agent_index: Dict[NodeId, int],
+    letter: str,
+    kind: str,
+):
+    """Validate one side's ``(member, agent) -> coefficient`` map and lower it to CSR.
 
-    ``owners`` are the row nodes (agents), ``members`` the column nodes
-    (constraints or objectives); rows must list members in canonical order.
-    Returns ``(coeff_map, rows_of_owner, rows_of_member)`` where
-    ``coeff_map`` is keyed ``(member_id, owner_id)`` — the ``(i, v)`` /
-    ``(k, v)`` convention of the instance's ``_a`` / ``_c`` dicts — and the
-    reverse rows come out sorted by owner canonical position (the same order
-    ``__init__``'s insertion + sort produces).
+    ``members`` are the constraints (``letter="a"``) or the objectives
+    (``letter="c"``).  Every check runs over whole arrays; when one fails,
+    the first offending entry in the mapping's iteration order is reported
+    by :func:`_raise_coefficient_error`.  Returns ``(coeff_map, indptr,
+    indices, coeff)``: ``coeff_map`` keeps the mapping's order with keys
+    normalised to the declared node objects (coefficient keys may be
+    equal-but-distinct objects, e.g. ``numpy.str_`` leaking out of a
+    generator's sampling, and every derived structure must depend on node
+    values only); the CSR arrays are agent-major with each row sorted by
+    member canonical position.
     """
-    import numpy as np
-
-    idx = indices.tolist()
-    indptr_l = indptr.tolist()
-    member_ids = [members[p] for p in idx]
-    rows_of_owner = {
-        owner: tuple(member_ids[indptr_l[row] : indptr_l[row + 1]])
-        for row, owner in enumerate(owners)
-    }
-    owner_rep = np.repeat(np.arange(len(owners), dtype=np.int64), np.diff(indptr))
-    owner_ids = [owners[p] for p in owner_rep.tolist()]
-    coeff_map = dict(zip(zip(member_ids, owner_ids), coeff.tolist()))
-    order = np.lexsort((owner_rep, indices)).tolist()
-    counts = (
-        np.bincount(indices, minlength=len(members)).tolist()
-        if len(idx)
-        else [0] * len(members)
+    items = list(coefficients.items())
+    keys = [key for key, _ in items]
+    raw = [value for _, value in items]
+    mpos = [member_index.get(i, -1) for i, _ in keys]
+    apos = [agent_index.get(v, -1) for _, v in keys]
+    values: List[float] = []
+    try:
+        values.extend(map(float, raw))
+    except Exception:  # raised again below if this entry is the first offender
+        pass
+    # ``values`` holds the prefix that converted; the entry after it (if
+    # any) is an offender, and only earlier entries can precede it.
+    n = len(values)
+    m_arr = np.array(mpos[:n], dtype=np.int64)
+    a_arr = np.array(apos[:n], dtype=np.int64)
+    coeff = np.array(values, dtype=np.float64)
+    order = np.lexsort((m_arr, a_arr))
+    bad = (m_arr < 0) | (a_arr < 0) | ~(np.isfinite(coeff) & (coeff > 0.0))
+    if n > 1:
+        ms, as_ = m_arr[order], a_arr[order]
+        repeat_edge = (ms[1:] == ms[:-1]) & (as_[1:] == as_[:-1]) & (ms[1:] >= 0) & (as_[1:] >= 0)
+        bad[order[1:][repeat_edge]] = True
+    if n < len(items) or bad.any():
+        first = int(np.argmax(bad)) if bad.any() else n
+        _raise_coefficient_error(
+            keys[first], raw[first], mpos[first], apos[first], members, agents, letter, kind
+        )
+    indptr = np.zeros(len(agents) + 1, dtype=np.int64)
+    if n:
+        np.cumsum(np.bincount(a_arr, minlength=len(agents)), out=indptr[1:])
+    coeff_map = dict(
+        zip(zip(map(members.__getitem__, mpos), map(agents.__getitem__, apos)), values)
     )
-    rows_of_member = {}
-    pos = 0
-    for m, mid in enumerate(members):
-        cnt = counts[m]
-        rows_of_member[mid] = tuple(owner_ids[p] for p in order[pos : pos + cnt])
-        pos += cnt
-    return coeff_map, rows_of_owner, rows_of_member
+    return coeff_map, indptr, m_arr[order], coeff[order]
+
+
+def _raise_coefficient_error(key, raw, mpos, apos, members, agents, letter, kind):
+    """Raise the error of one offending coefficient entry, checks in order."""
+    i, v = key
+    if mpos < 0:
+        raise InvalidInstanceError(f"coefficient {letter}[{i!r}, {v!r}] refers to unknown {kind} {i!r}")
+    if apos < 0:
+        raise InvalidInstanceError(f"coefficient {letter}[{i!r}, {v!r}] refers to unknown agent {v!r}")
+    i, v = members[mpos], agents[apos]
+    coeff = float(raw)
+    if not math.isfinite(coeff) or coeff <= 0.0:
+        raise InvalidInstanceError(
+            f"{kind} coefficient {letter}[{i!r}, {v!r}] = {coeff} must be positive and finite"
+        )
+    raise InvalidInstanceError(f"duplicate {kind} coefficient for ({i!r}, {v!r})")
+
+
+def _rows_from_csr(row_nodes, col_nodes, indptr, indices) -> Dict[NodeId, Tuple[NodeId, ...]]:
+    """``{row node: tuple of its column nodes}`` of one CSR family, in row order."""
+    cols = list(map(col_nodes.__getitem__, indices.tolist()))
+    bounds = indptr.tolist()
+    return {node: tuple(cols[bounds[r] : bounds[r + 1]]) for r, node in enumerate(row_nodes)}
+
+
+def _coefficients_from_csr(owners, members, indptr, indices, coeff) -> CoefficientMap:
+    """The ``(member_id, owner_id) -> coefficient`` map of one CSR side, owner-major."""
+    owner_rep = np.repeat(np.arange(len(owners), dtype=np.int64), np.diff(indptr))
+    return dict(
+        zip(
+            zip(map(members.__getitem__, indices.tolist()), map(owners.__getitem__, owner_rep.tolist())),
+            coeff.tolist(),
+        )
+    )
 
 
 class DegreeStatistics:
@@ -165,7 +224,9 @@ class MaxMinInstance:
     ------
     InvalidInstanceError
         If a coefficient is non-positive or refers to an undeclared node, or
-        if identifiers within one node class are duplicated.
+        if identifiers within one node class are duplicated.  The checks run
+        over whole arrays; the error names the first offending entry in the
+        mapping's iteration order (``a`` before ``c``).
     """
 
     __slots__ = (
@@ -201,9 +262,48 @@ class MaxMinInstance:
         self._constraints: Tuple[NodeId, ...] = tuple(constraints)
         self._objectives: Tuple[NodeId, ...] = tuple(objectives)
         self.name = name
+        self._agent_set = frozenset(self._agents)
+        self._constraint_set = frozenset(self._constraints)
+        self._objective_set = frozenset(self._objectives)
 
+        if len(self._agent_set) != len(self._agents):
+            raise InvalidInstanceError("duplicate agent identifiers")
+        if len(self._constraint_set) != len(self._constraints):
+            raise InvalidInstanceError("duplicate constraint identifiers")
+        if len(self._objective_set) != len(self._objectives):
+            raise InvalidInstanceError("duplicate objective identifiers")
+
+        agent_index = {v: idx for idx, v in enumerate(self._agents)}
+        self._a, *con = _lower_coefficients(
+            a,
+            self._constraints,
+            {i: idx for idx, i in enumerate(self._constraints)},
+            self._agents,
+            agent_index,
+            "a",
+            "constraint",
+        )
+        self._c, *obj = _lower_coefficients(
+            c,
+            self._objectives,
+            {k: idx for idx, k in enumerate(self._objectives)},
+            self._agents,
+            agent_index,
+            "c",
+            "objective",
+        )
+        self._attach_csr(con, obj, "compile.builds")
+
+    def _attach_csr(self, con, obj, counter: str) -> None:
+        """Shared tail of both constructors: derive everything from the CSR arrays.
+
+        ``con`` / ``obj`` are the validated agent-major ``(indptr, indices,
+        coeff)`` arrays of each side.  Attaches the compiled view and reads
+        all four adjacency maps off its forward and reverse CSR families;
+        ``counter`` names the obs counter of the constructor.
+        """
+        obs.count(counter)
         self._graph_cache: Optional["nx.Graph"] = None
-        self._compiled_cache = None
         # §4 pipeline results cached per ``verify`` flag, exactly like
         # the compiled view: the instance is immutable, so a cached
         # TransformResult can never go stale.  Populated by
@@ -217,91 +317,12 @@ class MaxMinInstance:
         # instance object is reused — which is what keeps the cleaned
         # instance's own compiled/transform caches warm across R values.
         self._preprocess_cache = None
-
-        self._agent_set = frozenset(self._agents)
-        self._constraint_set = frozenset(self._constraints)
-        self._objective_set = frozenset(self._objectives)
-
-        if len(self._agent_set) != len(self._agents):
-            raise InvalidInstanceError("duplicate agent identifiers")
-        if len(self._constraint_set) != len(self._constraints):
-            raise InvalidInstanceError("duplicate constraint identifiers")
-        if len(self._objective_set) != len(self._objectives):
-            raise InvalidInstanceError("duplicate objective identifiers")
-
-        self._a: CoefficientMap = {}
-        self._c: CoefficientMap = {}
-
-        agents_of_constraint: Dict[NodeId, List[NodeId]] = {i: [] for i in self._constraints}
-        agents_of_objective: Dict[NodeId, List[NodeId]] = {k: [] for k in self._objectives}
-        constraints_of_agent: Dict[NodeId, List[NodeId]] = {v: [] for v in self._agents}
-        objectives_of_agent: Dict[NodeId, List[NodeId]] = {v: [] for v in self._agents}
-
-        # Canonical identity maps: coefficient keys may be equal-but-distinct
-        # objects (e.g. ``numpy.str_`` leaking out of a generator's sampling).
-        # Normalising them to the *declared* node objects keeps every derived
-        # structure — reprs, JSON sort order, hashes, content digests —
-        # dependent only on node values, never on key object identity.
-        canon_agent: Dict[NodeId, NodeId] = {v: v for v in self._agents}
-        canon_constraint: Dict[NodeId, NodeId] = {i: i for i in self._constraints}
-        canon_objective: Dict[NodeId, NodeId] = {k: k for k in self._objectives}
-
-        for (i, v), coeff in a.items():
-            if i not in agents_of_constraint:
-                raise InvalidInstanceError(f"coefficient a[{i!r}, {v!r}] refers to unknown constraint {i!r}")
-            if v not in constraints_of_agent:
-                raise InvalidInstanceError(f"coefficient a[{i!r}, {v!r}] refers to unknown agent {v!r}")
-            i = canon_constraint[i]
-            v = canon_agent[v]
-            coeff = float(coeff)
-            if not math.isfinite(coeff) or coeff <= 0.0:
-                raise InvalidInstanceError(
-                    f"constraint coefficient a[{i!r}, {v!r}] = {coeff} must be positive and finite"
-                )
-            if (i, v) in self._a:
-                raise InvalidInstanceError(f"duplicate constraint coefficient for ({i!r}, {v!r})")
-            self._a[(i, v)] = coeff
-            agents_of_constraint[i].append(v)
-            constraints_of_agent[v].append(i)
-
-        for (k, v), coeff in c.items():
-            if k not in agents_of_objective:
-                raise InvalidInstanceError(f"coefficient c[{k!r}, {v!r}] refers to unknown objective {k!r}")
-            if v not in objectives_of_agent:
-                raise InvalidInstanceError(f"coefficient c[{k!r}, {v!r}] refers to unknown agent {v!r}")
-            k = canon_objective[k]
-            v = canon_agent[v]
-            coeff = float(coeff)
-            if not math.isfinite(coeff) or coeff <= 0.0:
-                raise InvalidInstanceError(
-                    f"objective coefficient c[{k!r}, {v!r}] = {coeff} must be positive and finite"
-                )
-            if (k, v) in self._c:
-                raise InvalidInstanceError(f"duplicate objective coefficient for ({k!r}, {v!r})")
-            self._c[(k, v)] = coeff
-            agents_of_objective[k].append(v)
-            objectives_of_agent[v].append(k)
-
-        # Freeze adjacency lists (sorted by insertion order of node tuples for
-        # determinism; the declared node order defines the canonical order).
-        agent_order = {v: idx for idx, v in enumerate(self._agents)}
-        constraint_order = {i: idx for idx, i in enumerate(self._constraints)}
-        objective_order = {k: idx for idx, k in enumerate(self._objectives)}
-
-        self._agents_of_constraint: Dict[NodeId, Tuple[NodeId, ...]] = {
-            i: tuple(sorted(vs, key=agent_order.__getitem__)) for i, vs in agents_of_constraint.items()
-        }
-        self._agents_of_objective: Dict[NodeId, Tuple[NodeId, ...]] = {
-            k: tuple(sorted(vs, key=agent_order.__getitem__)) for k, vs in agents_of_objective.items()
-        }
-        self._constraints_of_agent: Dict[NodeId, Tuple[NodeId, ...]] = {
-            v: tuple(sorted(is_, key=constraint_order.__getitem__))
-            for v, is_ in constraints_of_agent.items()
-        }
-        self._objectives_of_agent: Dict[NodeId, Tuple[NodeId, ...]] = {
-            v: tuple(sorted(ks, key=objective_order.__getitem__))
-            for v, ks in objectives_of_agent.items()
-        }
+        self._compiled_cache = comp = CompiledInstance.from_arrays(self, *con, *obj)
+        agents, cons, objs = self._agents, self._constraints, self._objectives
+        self._constraints_of_agent = _rows_from_csr(agents, cons, comp.con_indptr, comp.con_indices)
+        self._objectives_of_agent = _rows_from_csr(agents, objs, comp.obj_indptr, comp.obj_indices)
+        self._agents_of_constraint = _rows_from_csr(cons, agents, comp.cagents_indptr, comp.cagents_indices)
+        self._agents_of_objective = _rows_from_csr(objs, agents, comp.oagents_indptr, comp.oagents_indices)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -548,8 +569,6 @@ class MaxMinInstance:
         Python loop); :meth:`special_form_violations` remains the per-node
         reporting oracle and defines the semantics.
         """
-        import numpy as np
-
         comp = self.compiled()
         if comp.num_constraints and not bool(
             (np.diff(comp.cagents_indptr) == 2).all()
@@ -628,6 +647,8 @@ class MaxMinInstance:
         """
         if self._graph_cache is not None:
             return self._graph_cache
+        import networkx as nx
+
         g = nx.Graph(name=self.name)
         for v in self._agents:
             g.add_node(agent_node(v), kind=NodeType.AGENT)
@@ -643,18 +664,12 @@ class MaxMinInstance:
         return g
 
     def compiled(self) -> "CompiledInstance":
-        """The cached :class:`~repro.core.compiled.CompiledInstance` view.
+        """The :class:`~repro.core.compiled.CompiledInstance` view.
 
-        Lowers the instance to int-indexed CSR arrays for the vectorized
-        solver kernels; built on first call and reused afterwards (the
-        instance is immutable, so the view can never go stale).
+        The int-indexed CSR arrays the vectorized solver kernels run on;
+        every constructor builds it, and the instance is immutable, so the
+        view can never go stale.
         """
-        if self._compiled_cache is None:
-            from .. import obs
-            from .compiled import CompiledInstance
-
-            obs.count("compile.builds")
-            self._compiled_cache = CompiledInstance(self)
         return self._compiled_cache
 
     def neighbours(self, node: GraphNode) -> Tuple[GraphNode, ...]:
@@ -674,6 +689,8 @@ class MaxMinInstance:
         """True if the communication graph is connected (or empty)."""
         if self.num_nodes == 0:
             return True
+        import networkx as nx
+
         return nx.is_connected(self.communication_graph())
 
     def connected_components(self) -> List["MaxMinInstance"]:
@@ -685,6 +702,8 @@ class MaxMinInstance:
         """
         if self.num_nodes == 0:
             return []
+        import networkx as nx
+
         g = self.communication_graph()
         components = []
         for idx, nodes in enumerate(nx.connected_components(g)):
@@ -818,7 +837,6 @@ class MaxMinInstance:
         obj_indices,
         obj_coeff,
         name: str = "max-min-lp",
-        compile: bool = True,
     ) -> "MaxMinInstance":
         """Trusted constructor from pre-validated CSR arrays.
 
@@ -827,39 +845,27 @@ class MaxMinInstance:
         ``obj_*`` the per-agent objective edges.  The caller vouches that the
         arrays describe a valid instance — node identifiers unique,
         coefficients positive and finite, no duplicate edges, rows sorted by
-        member canonical position — so the O(E) re-validation and adjacency
-        sorting of ``__init__`` is skipped (it dominates ``preprocess()`` and
-        delta application at n ≈ 1e4).  With ``compile=True`` the matching
-        :class:`~repro.core.compiled.CompiledInstance` is attached to the
-        compiled-view cache directly from the same arrays, so the Python-loop
-        lowering is skipped as well.  The result is indistinguishable (equal
-        dicts, digest, hash, compiled arrays) from declaring the instance via
-        ``__init__``.
+        member canonical position — so ``__init__``'s validation and sort are
+        skipped; the arrays go straight to the shared tail, which attaches
+        the matching :class:`~repro.core.compiled.CompiledInstance`.  The
+        result is indistinguishable (equal dicts, digest, hash, compiled
+        arrays) from declaring the instance via ``__init__``; only the
+        coefficient maps' iteration order differs (agent-major here, the
+        mapping's own order there).
         """
         self = cls.__new__(cls)
         self._agents = tuple(agents)
         self._constraints = tuple(constraints)
         self._objectives = tuple(objectives)
         self.name = name
-        self._graph_cache = None
-        self._compiled_cache = None
-        self._transform_cache = None
-        self._preprocess_cache = None
         self._agent_set = frozenset(self._agents)
         self._constraint_set = frozenset(self._constraints)
         self._objective_set = frozenset(self._objectives)
-        self._a, self._constraints_of_agent, self._agents_of_constraint = _adjacency_from_csr(
-            self._agents, self._constraints, con_indptr, con_indices, con_coeff
+        self._a = _coefficients_from_csr(self._agents, self._constraints, con_indptr, con_indices, con_coeff)
+        self._c = _coefficients_from_csr(self._agents, self._objectives, obj_indptr, obj_indices, obj_coeff)
+        self._attach_csr(
+            (con_indptr, con_indices, con_coeff),
+            (obj_indptr, obj_indices, obj_coeff),
+            "compile.from_arrays",
         )
-        self._c, self._objectives_of_agent, self._agents_of_objective = _adjacency_from_csr(
-            self._agents, self._objectives, obj_indptr, obj_indices, obj_coeff
-        )
-        if compile:
-            from .. import obs
-            from .compiled import CompiledInstance
-
-            obs.count("compile.from_arrays")
-            self._compiled_cache = CompiledInstance.from_arrays(
-                self, con_indptr, con_indices, con_coeff, obj_indptr, obj_indices, obj_coeff
-            )
         return self

@@ -37,9 +37,6 @@ import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.optimize import linprog
 
 from .. import obs
 from .._types import NodeId
@@ -115,6 +112,9 @@ def _solve_clean(instance: MaxMinInstance, method: str) -> LPResult:
         zero = Solution(instance, {v: 0.0 for v in instance.agents}, label="lp-zero")
         return LPResult(math.inf if n_obj == 0 else 0.0, zero, "unbounded" if n_obj == 0 else "zero")
 
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     with obs.span("lp.assemble", rows=n_con + n_obj, cols=n + 1):
         rows, cols, data = _assembly_triplets(instance)
         # The ω column: coefficient +1 in every covering row.
@@ -155,6 +155,9 @@ def _component_labels(instance: MaxMinInstance) -> Tuple[int, np.ndarray]:
     block-diagonal solve (they pick each covering row's ``ω_j`` column; the
     agent columns need no labelling because the blocks share no rows).
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     comp = instance.compiled()
     n = comp.num_agents
     n_con = comp.num_constraints
@@ -204,6 +207,9 @@ def _solve_components(
     if n_omega == 0:  # pragma: no cover - clean instances always have objectives
         zero = Solution(instance, {v: 0.0 for v in instance.agents}, label="lp-zero")
         return LPResult(math.inf, zero, "unbounded")
+
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     with obs.span("lp.assemble", rows=n_con + n_obj, cols=n + n_omega):
         rows, cols, data = _assembly_triplets(instance)

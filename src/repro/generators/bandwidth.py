@@ -20,13 +20,15 @@ shortest simple paths per customer with :mod:`networkx`.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..core.builder import InstanceBuilder
 from ..core.instance import MaxMinInstance
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["BandwidthWorkload", "bandwidth_allocation_instance"]
 
@@ -60,6 +62,8 @@ class BandwidthWorkload:
 
 def _random_network(rng: np.random.Generator, num_nodes: int, extra_edges: int) -> "nx.Graph":
     """A connected ring plus random chords, with random link capacities."""
+    import networkx as nx
+
     graph = nx.cycle_graph(num_nodes)
     added = 0
     attempts = 0
@@ -91,6 +95,8 @@ def bandwidth_allocation_instance(
         raise ValueError("need at least one customer")
     if paths_per_customer < 1:
         raise ValueError("need at least one candidate path per customer")
+
+    import networkx as nx
 
     rng = np.random.default_rng(seed)
     graph = _random_network(rng, num_nodes, extra_edges)

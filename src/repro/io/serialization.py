@@ -24,7 +24,7 @@ from typing import Any, Dict, Mapping, Union
 from .._types import NodeId
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
-from ..exceptions import SerializationError
+from ..exceptions import InvalidInstanceError, SerializationError
 
 __all__ = [
     "instance_to_json",
@@ -98,7 +98,13 @@ def instance_to_json(instance: MaxMinInstance) -> str:
 
 
 def instance_from_json(text: str) -> MaxMinInstance:
-    """Inverse of :func:`instance_to_json`."""
+    """Inverse of :func:`instance_to_json`.
+
+    Every invalid document raises :class:`SerializationError`; when the
+    instance itself is invalid, the :class:`InvalidInstanceError` (or the
+    ``ValueError`` of an unparsable coefficient) is its cause and lends it
+    its message.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -124,6 +130,10 @@ def instance_from_json(text: str) -> MaxMinInstance:
         )
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"malformed instance document: {exc}") from exc
+    except (InvalidInstanceError, ValueError, OverflowError) as exc:
+        # A well-formed document describing an invalid instance (unknown
+        # ids, bad coefficients) is still a bad document, not a crash.
+        raise SerializationError(str(exc)) from exc
 
 
 def instance_digest(instance: Union[MaxMinInstance, str]) -> str:

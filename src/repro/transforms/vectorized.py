@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .._types import NodeId
-from ..core.compiled import _segment_gather
+from ..core.compiled import _segment_gather, _transpose_csr
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_nondegenerate, require_special_form
@@ -730,33 +730,15 @@ def vectorized_to_special_form(
     if not st.changed:
         transformed = instance
     else:
-        con_owner = np.repeat(
-            np.arange(len(st.constraints), dtype=np.int64), np.diff(st.con_indptr)
-        )
-        obj_owner = np.repeat(
-            np.arange(len(st.objectives), dtype=np.int64), np.diff(st.obj_indptr)
-        )
-        constraints = st.constraints
-        objectives = st.objectives
-        agents = st.agents
-        a = {
-            (constraints[o], agents[p]): coeff
-            for o, p, coeff in zip(
-                con_owner.tolist(), st.con_agents.tolist(), st.con_coeff.tolist()
-            )
-        }
-        c = {
-            (objectives[o], agents[p]): coeff
-            for o, p, coeff in zip(
-                obj_owner.tolist(), st.obj_agents.tolist(), st.obj_coeff.tolist()
-            )
-        }
-        transformed = MaxMinInstance(
-            agents=agents,
-            constraints=constraints,
-            objectives=objectives,
-            a=a,
-            c=c,
+        # The stage arrays are member-major; transposing them gives the
+        # agent-major rows (members in canonical order) from_arrays takes.
+        n = len(st.agents)
+        transformed = MaxMinInstance.from_arrays(
+            st.agents,
+            st.constraints,
+            st.objectives,
+            *_transpose_csr(st.con_indptr, st.con_agents, st.con_coeff, n),
+            *_transpose_csr(st.obj_indptr, st.obj_agents, st.obj_coeff, n),
             name=st.name,
         )
     if verify:

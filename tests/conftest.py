@@ -19,6 +19,7 @@ from repro.core.builder import InstanceBuilder
 from repro.core.instance import MaxMinInstance
 from repro.core.lp import solve_maxmin_lp
 from repro.core.solution import Solution
+from repro.exceptions import InvalidInstanceError
 from repro.generators import (
     cycle_instance,
     objective_ring_instance,
@@ -73,6 +74,40 @@ def build_degenerate_instance() -> MaxMinInstance:
     # Unconstrained agent (objective but no constraint).
     builder.add_objective_term("k_unc", "d", 2.0)
     return builder.build()
+
+
+def one_agent_document(constraint="i", coefficient=1.0) -> dict:
+    """A one-agent instance document with one constraint entry to vary."""
+    return {
+        "format": "repro.maxmin-lp",
+        "version": 1,
+        "name": "one-agent",
+        "agents": ["v"],
+        "constraints": ["i"],
+        "objectives": ["k"],
+        "a": [{"constraint": constraint, "agent": "v", "coefficient": coefficient}],
+        "c": [{"objective": "k", "agent": "v", "coefficient": 1.0}],
+    }
+
+
+#: Well-formed documents of invalid instances: ``(document, cause, message)``.
+INVALID_INSTANCE_DOCUMENTS = {
+    "negative coefficient": (
+        one_agent_document(coefficient=-1),
+        InvalidInstanceError,
+        "constraint coefficient a['i', 'v'] = -1.0 must be positive and finite",
+    ),
+    "unknown constraint": (
+        one_agent_document(constraint="x"),
+        InvalidInstanceError,
+        "coefficient a['x', 'v'] refers to unknown constraint 'x'",
+    ),
+    "unparsable coefficient": (
+        one_agent_document(coefficient="abc"),
+        ValueError,
+        "could not convert string to float: 'abc'",
+    ),
+}
 
 
 # ----------------------------------------------------------------------

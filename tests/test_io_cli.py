@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.solution import Solution
+from conftest import INVALID_INSTANCE_DOCUMENTS
 from repro.cli import build_parser, main
+from repro.core.solution import Solution
 from repro.exceptions import SerializationError
 from repro.generators import cycle_instance, random_instance
 from repro.io import (
@@ -54,6 +55,15 @@ class TestJsonSerialization:
             instance_from_json(json.dumps({"format": "something-else"}))
         with pytest.raises(SerializationError):
             instance_from_json(json.dumps({"format": "repro.maxmin-lp", "agents": []}))
+
+    @pytest.mark.parametrize("case", sorted(INVALID_INSTANCE_DOCUMENTS))
+    def test_invalid_instance_is_a_serialization_error(self, case):
+        document, cause, message = INVALID_INSTANCE_DOCUMENTS[case]
+        with pytest.raises(SerializationError) as excinfo:
+            instance_from_json(json.dumps(document))
+        assert str(excinfo.value) == message
+        assert type(excinfo.value.__cause__) is cause
+        assert str(excinfo.value.__cause__) == message
 
     def test_solution_serialization(self, tiny_instance, tmp_path):
         sol = Solution(tiny_instance, {"a": 0.5, "b": 0.25}, label="manual")
@@ -236,6 +246,15 @@ class TestCli:
         assert main([command, str(not_instance)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: invalid instance file")
+
+    @pytest.mark.parametrize("case", sorted(INVALID_INSTANCE_DOCUMENTS))
+    def test_invalid_instance_is_a_one_line_error(self, case, tmp_path, capsys):
+        document, _, message = INVALID_INSTANCE_DOCUMENTS[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["solve", str(bad), "-R", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid instance file {bad}: {message}\n"
 
     @pytest.mark.parametrize(
         "family", ["random", "special-form", "torus", "sensor", "ring"]

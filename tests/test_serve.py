@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from conftest import INVALID_INSTANCE_DOCUMENTS
 from repro.algo.general_solver import LocalMaxMinSolver
 from repro.engine.resilience import call_with_timeout, leaked_timeout_threads
 from repro.exceptions import JobTimeoutError
@@ -300,6 +301,16 @@ class TestServerBasics:
             assert status == 404
             status, payload = client.utility("nope", instance=inst)
             assert status == 400
+
+    def test_invalid_instance_document_is_a_bad_request(self):
+        with ServerHandle(ServeConfig(workers=1)) as handle:
+            client = handle.client(timeout_s=10)
+            for document, _, message in INVALID_INSTANCE_DOCUMENTS.values():
+                status, payload = client.op("solve", {"instance": document})
+                assert status == 400 and payload["error"]["code"] == "bad_request"
+                assert payload["error"]["message"] == f"invalid instance document: {message}"
+            status, metrics = client.metrics()
+            assert metrics["counters"].get("serve.internal_errors", 0) == 0
 
     def test_cache_tier_survives_restart(self, tmp_path):
         (inst,) = make_instances(1)
