@@ -7,6 +7,11 @@ records wall times, the speedup, the output agreement and the tree
 deduplication factor, and asserts the acceptance bar (≥ ``--min-speedup``
 at ``n ≥ --speedup-floor-n``) unless running in ``--smoke`` mode.
 
+Each row also times the production ``t_u`` search (``_newton_search``)
+against its bisection oracle (``_batched_bisection``) on the same distinct
+trees, reports both ``kernels.margin_evaluations`` counts, and fails the run
+unless the two ``t`` arrays are bitwise equal.
+
 Rows are stored through the engine's content-addressed
 :class:`~repro.engine.cache.ResultCache` (keyed by configuration digest ×
 ``local`` solver version), so a re-run with an unchanged configuration and
@@ -33,12 +38,20 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import numpy as np
+
 BENCH_DIR = Path(__file__).resolve().parent
 if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a script
     sys.path.insert(0, str(BENCH_DIR))
 
-from repro.algo.kernels import build_batched_trees
+from repro.algo.kernels import (
+    _batched_bisection,
+    _dedup_groups,
+    _newton_search,
+    build_batched_trees,
+)
 from repro.algo.local_solver import SpecialFormLocalSolver, reference_solve
+from repro.algo.upper_bound import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 from _harness import obs_counter_rollup, write_bench_payload
 from repro.analysis.reporting import format_table
 from repro.engine.cache import ResultCache
@@ -92,7 +105,7 @@ def config_key(family: str, n: int, R: int, seed: int) -> str:
     payload = json.dumps(
         {
             "bench": "bench_kernels",
-            "format_version": 1,
+            "format_version": 2,
             "family": family,
             "n": n,
             "R": R,
@@ -123,6 +136,7 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
     max_diff = max(abs(ref.solution[v] - vec.solution[v]) for v in instance.agents)
     trees = build_batched_trees(instance.compiled(), R - 2)
     distinct = len(set(trees.signatures()))
+    search = measure_search(trees)
 
     # Untimed traced re-solve: the timed passes above stay tracing-free.
     _, counters = obs_counter_rollup(
@@ -141,7 +155,39 @@ def measure(family: str, n: int, R: int, seed: int) -> Dict[str, object]:
         "trees": trees.num_trees,
         "distinct_trees": distinct,
         "utility_vectorized": vec.utility(),
+        **search,
         "obs": counters,
+    }
+
+
+def measure_search(trees, repeats: int = 3) -> Dict[str, object]:
+    """The t_u search vs its bisection oracle on the distinct trees of ``trees``."""
+    reps, _ = _dedup_groups(trees)
+    rep_trees = trees.select(reps)
+
+    def bisection():
+        return _batched_bisection(rep_trees, DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS)
+
+    def search():
+        return _newton_search(trees, reps, DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS)
+
+    t_bisection, t_search = float("inf"), float("inf")
+    for _ in range(repeats):  # interleaved to cancel machine drift
+        start = time.perf_counter()
+        bisection()
+        t_bisection = min(t_bisection, time.perf_counter() - start)
+        start = time.perf_counter()
+        search()
+        t_search = min(t_search, time.perf_counter() - start)
+    t_oracle, oracle_counters = obs_counter_rollup(bisection)
+    t_found, search_counters = obs_counter_rollup(search)
+    return {
+        "t_bisection_s": round(t_bisection, 6),
+        "t_search_s": round(t_search, 6),
+        "search_speedup": round(t_bisection / t_search, 2) if t_search > 0 else float("inf"),
+        "search_bitwise": bool(np.array_equal(t_found.view(np.uint64), t_oracle.view(np.uint64))),
+        "margin_evaluations_bisection": int(oracle_counters.get("kernels.margin_evaluations", 0)),
+        "margin_evaluations_search": int(search_counters.get("kernels.margin_evaluations", 0)),
     }
 
 
@@ -207,6 +253,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "max_abs_diff",
                 "trees",
                 "distinct_trees",
+                "t_bisection_s",
+                "t_search_s",
+                "search_speedup",
+                "search_bitwise",
+                "margin_evaluations_bisection",
+                "margin_evaluations_search",
             ],
             title="bench_kernels: per-node oracle vs compiled kernels",
         )
@@ -219,6 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         and float(row["speedup"]) < args.min_speedup
     ]
     correctness = [row for row in rows if float(row["max_abs_diff"]) > 1e-9]
+    drifted = [row for row in rows if not row["search_bitwise"]]
 
     payload = {
         "format": "bench-kernels-trajectory",
@@ -238,6 +291,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if correctness:
         print(f"FAIL: {len(correctness)} configuration(s) exceed 1e-9 output difference")
+        return 1
+    if drifted:
+        print(f"FAIL: {len(drifted)} configuration(s) where the t_u search left the bisection")
         return 1
     if failures:
         print(

@@ -17,8 +17,9 @@ Five measurements, one per record-path hot spot this PR compiled:
 * **transform-cache** — an R-sweep over one instance with the §4 pipeline
   spy-counted: the pipeline must run exactly once (cold), warm solves reuse
   the instance-cached transform.
-* **bisection-compaction / dispatch** — the stacked ``t_u`` bisection with
-  and without mid-run active-set compaction at medium ``n``, and the
+* **bisection-compaction / dispatch** — the stacked ``t_u`` bisection
+  oracle (``_batched_bisection``) with and without mid-run active-set
+  compaction at medium ``n``, and the
   engine-level ``dispatch="per-job"`` vs ``dispatch="batched"`` comparison
   the compaction is meant to win (records asserted identical).
 
@@ -54,7 +55,8 @@ if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a scri
 
 from _harness import obs_counter_rollup, write_bench_payload
 from repro.algo.general_solver import LocalMaxMinSolver
-from repro.algo.kernels import batched_upper_bounds
+from repro.algo.kernels import _batched_bisection, build_batched_trees
+from repro.algo.upper_bound import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 from repro.analysis.reporting import format_table
 from repro.core.compiled import stack_compiled
 from repro.core.instance import MaxMinInstance
@@ -309,23 +311,26 @@ def _heterogeneous_batch(n: int, seed: int, num_instances: int):
 
 
 def measure_compaction(n: int, seed: int, num_instances: int, repeats: int = 5) -> Dict[str, object]:
-    """The stacked t_u bisection with vs without active-set compaction."""
+    """The stacked t_u bisection oracle with vs without active-set compaction."""
     stacked = stack_compiled(
         [inst.compiled() for inst in _heterogeneous_batch(n, seed, num_instances)]
     )
-    r = 1
+    trees = build_batched_trees(stacked, 1)
+
+    def bisect(compact: bool) -> np.ndarray:
+        return _batched_bisection(
+            trees, DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS, compact=compact
+        )
+
     t_plain, t_compact = float("inf"), float("inf")
     for _ in range(repeats):  # interleaved to cancel machine drift
         start = time.perf_counter()
-        batched_upper_bounds(stacked, r, compact=False)
+        bisect(False)
         t_plain = min(t_plain, time.perf_counter() - start)
         start = time.perf_counter()
-        batched_upper_bounds(stacked, r, compact=True)
+        bisect(True)
         t_compact = min(t_compact, time.perf_counter() - start)
-    identical = np.array_equal(
-        batched_upper_bounds(stacked, r, compact=False),
-        batched_upper_bounds(stacked, r, compact=True),
-    )
+    identical = np.array_equal(bisect(False), bisect(True))
     return {
         "kind": "bisection-compaction",
         "n_agents": int(stacked.num_agents),

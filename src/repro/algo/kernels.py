@@ -13,9 +13,15 @@ over the int-indexed CSR arrays of a
   vectorized gather, not an object BFS);
 * :func:`batched_upper_bounds` deduplicates structurally identical trees by
   canonical signature (symmetric families — cycles, grids, regular graphs —
-  collapse to a handful of distinct trees) and runs the ``t_u`` bisection
-  for all distinct trees at once: numpy ``lo``/``hi`` vectors, one
-  level-ordered ``f±`` sweep per iteration;
+  collapse to a handful of distinct trees; collision groups are checked
+  with whole-array compares, not byte signatures) and finds ``t_u`` for all
+  distinct trees at once with :func:`_newton_search`: Newton steps on the
+  concave, piecewise-linear recursion margin (level-ordered ``f±`` sweeps
+  that also carry the margin's slope in ``ω``), one probe beside the root,
+  then a replay of the paper's binary search that sweeps only where that
+  bracket cannot decide.  The result is bitwise the simultaneous bisection
+  (``_batched_bisection``, kept as the test oracle) — same floats, same
+  ``kernels.bisection_iterations`` — from about a tenth of its sweeps;
 * :func:`smooth_bounds_kernel` replaces the ``n`` per-agent BFS calls with
   ``2r + 1`` rounds of synchronous neighbour-min propagation over the
   agent-level adjacency (one round per *pair* of communication-graph edges,
@@ -44,6 +50,7 @@ from .alternating_tree import build_alternating_tree
 from .upper_bound import (
     DEFAULT_BISECTION_TOL,
     MAX_BISECTION_ITERATIONS,
+    check_bisection_tol,
     tree_optimum_lp,
 )
 
@@ -279,47 +286,134 @@ def _reduce_counts(counts: np.ndarray, root_indptr: np.ndarray) -> np.ndarray:
     return np.add.reduceat(counts, root_indptr[:-1])
 
 
-def _recursion_margins(bt: BatchedTrees, omega: np.ndarray) -> np.ndarray:
+def _recursion_margins(bt: BatchedTrees, omega: np.ndarray, slope: bool = False):
     """Per-tree feasibility margin of the ``f±`` recursion at per-tree ``ω``.
 
     Equals :func:`repro.algo.tree_recursion.recursion_margin` of every tree:
     the minimum of all ``f⁺`` values (Eq. 8) and of the root slack
     ``cap(u) − f⁻_{u,u,r}`` (Eq. 9).  One bottom-up sweep over the level
     arrays, all trees in lockstep.
+
+    With ``slope=True`` the return value is ``(margin, g)``: ``g`` is the
+    left derivative in ``ω`` of each tree's margin, carried forward through
+    Eqs. 6–9 beside the values (``f⁻``: ``1 − Σ`` child slopes where the
+    ``max`` is not clamped, else 0; ``f⁺``: ``−(a_partner/a_self)`` times the
+    slope of a candidate attaining the minimum; every minimum takes the
+    largest slope among its attaining terms).  The margin floats are the
+    same either way — the slope only steers :func:`_newton_search`.
     """
     comp = bt.comp
     capacity = comp.capacity
     deepest = bt.levels[-1]
     vals = capacity[deepest.nodes]
     min_fp = np.minimum.reduceat(vals, deepest.root_indptr[:-1])
+    # Slopes of vals and min_fp; the deepest f⁺ are capacities (slope 0).
+    d: Optional[np.ndarray] = None
+    d_fp = np.zeros(len(min_fp)) if slope else None
 
     for j in range(len(bt.levels) - 2, -1, -1):
         level = bt.levels[j]
         child = bt.levels[j + 1]
+        starts = level.child_indptr[:-1]
         if level.kind == _MINUS:
             # Eq. 6: f⁻ = max(0, ω − Σ f⁺ of the objective's other agents).
-            sums = np.add.reduceat(vals, level.child_indptr[:-1])
-            vals = np.maximum(0.0, omega[level.tree_of_node] - sums)
+            sums = np.add.reduceat(vals, starts)
+            vals = omega[level.tree_of_node]
+            vals -= sums
+            if slope:
+                clamped = vals <= 0.0
+            np.maximum(0.0, vals, out=vals)
+            if slope:
+                if d is None:
+                    d = np.ones(len(vals))
+                else:
+                    d = np.add.reduceat(d, starts)
+                    np.subtract(1.0, d, out=d)
+                d[clamped] = 0.0
         else:
             # Eq. 7: f⁺ = min over constraint edges of (1 − a_partner f⁻)/a_self.
             cand = (1.0 - child.a_partner * vals) / child.a_self
-            vals = np.minimum.reduceat(cand, level.child_indptr[:-1])
-            np.minimum(min_fp, np.minimum.reduceat(vals, level.root_indptr[:-1]), out=min_fp)
+            vals = np.minimum.reduceat(cand, starts)
+            level_min = np.minimum.reduceat(vals, level.root_indptr[:-1])
+            if slope:
+                d *= child.a_partner
+                d /= child.a_self
+                np.negative(d, out=d)
+                d = _attained_slope(cand, vals, d, level.child_indptr)
+                d_level = _attained_slope(vals, level_min, d.copy(), level.root_indptr)
+                d_fp = _min_slope(min_fp, d_fp, level_min, d_level)
+            np.minimum(min_fp, level_min, out=min_fp)
 
     # vals now holds f⁻ at the root (one node per tree).
     root_slack = capacity[bt.levels[0].nodes] - vals
-    return np.minimum(min_fp, root_slack)
+    margin = np.minimum(min_fp, root_slack)
+    if not slope:
+        return margin
+    return margin, _min_slope(min_fp, d_fp, root_slack, -d)
 
 
-#: Active-set compaction policy for :func:`_batched_bisection`: once the
-#: still-unconverged trees are at most this fraction of the current working
-#: set (and at least ``_COMPACT_MIN_DROP`` trees would be shed), the working
-#: set is physically compacted with :meth:`BatchedTrees.select` so each
-#: remaining ``f±`` sweep only touches live trees.  Converged trees would
-#: otherwise be swept until the *slowest* tree of the whole batch finishes —
-#: the reason stacked multi-instance dispatch used to lose at medium ``n``.
+def _attained_slope(
+    values: np.ndarray, seg_min: np.ndarray, slopes: np.ndarray, indptr: np.ndarray
+) -> np.ndarray:
+    """Per segment, the largest slope among the terms equal to its minimum.
+
+    Overwrites ``slopes``.
+    """
+    slopes[values != np.repeat(seg_min, np.diff(indptr))] = -np.inf
+    return np.maximum.reduceat(slopes, indptr[:-1])
+
+
+def _min_slope(a: np.ndarray, da: np.ndarray, b: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Left derivative of ``min(a, b)`` from those of ``a`` and ``b``."""
+    return np.where(b < a, db, np.where(a < b, da, np.maximum(da, db)))
+
+
+#: Active-set compaction policy of both ``t_u`` searches: once the trees that
+#: still need sweeps are at most this fraction of the current working set
+#: (and at least ``_COMPACT_MIN_DROP`` trees would be shed), the working set
+#: is physically compacted with :meth:`BatchedTrees.select` so each remaining
+#: ``f±`` sweep only touches live trees.  Converged trees would otherwise be
+#: swept until the *slowest* tree of the whole batch finishes — the reason
+#: stacked multi-instance dispatch used to lose at medium ``n``.
 _COMPACT_FRACTION = 0.5
 _COMPACT_MIN_DROP = 16
+
+#: Newton steps per tree in :func:`_newton_search` before its bracket goes to
+#: the edge probe (1–3 steps suffice at R = 3, at most 8 at R = 8).  With 0
+#: there is no Newton phase and no probe: the replay decides every step.
+_NEWTON_STEPS = 8
+#: A Newton point at or above ``B`` minus this many ulps cannot move ``B``.
+_STALL_ULPS = 4
+#: The edge probe sits this many ulps inside the end of the bracket that the
+#: Newton phase left tight.
+_PROBE_ULPS = 64
+
+
+def _worth_compacting(n_current: int, n_keep: int) -> bool:
+    return n_current - n_keep >= _COMPACT_MIN_DROP and n_keep <= _COMPACT_FRACTION * n_current
+
+
+def _search_limits(bt: BatchedTrees, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Upper search limit ``hi0`` of trees ``rows`` (default: all trees).
+
+    The root objective's value can never exceed the sum of its agents'
+    individual capacities (cf. ``upper_bound._search_upper_limit``).
+    """
+    comp = bt.comp
+    lvl1 = bt.levels[1]
+    hi0 = comp.capacity[bt.levels[0].nodes] + _reduce_counts_float(
+        comp.capacity[lvl1.nodes], lvl1.root_indptr
+    )
+    roots = bt.roots
+    if rows is not None:
+        hi0, roots = hi0[rows], roots[rows]
+    if np.isinf(hi0).any():
+        bad = roots[int(np.argmax(np.isinf(hi0)))]
+        raise SolverError(
+            f"agent {comp.agents[bad]!r} has no constraint; "
+            "run preprocessing before the local algorithm"
+        )
+    return hi0
 
 
 def _batched_bisection(
@@ -331,30 +425,20 @@ def _batched_bisection(
 ) -> np.ndarray:
     """``t_u`` for every tree in the batch via simultaneous binary search.
 
-    Vectorization of :func:`repro.algo.upper_bound.tree_optimum_binary_search`
-    with per-tree ``lo``/``hi`` brackets: identical upper limit, identical
-    per-tree stopping rule (``hi − lo ≤ tol`` or the iteration cap), one
-    shared ``f±`` sweep per iteration.  With ``compact=True`` (default) the
-    working set shrinks mid-run (see :data:`_COMPACT_FRACTION`); each tree's
+    The bitwise oracle of :func:`_newton_search`, called only from tests and
+    benchmarks.  Vectorization of
+    :func:`repro.algo.upper_bound.tree_optimum_binary_search` with per-tree
+    ``lo``/``hi`` brackets: identical upper limit, identical per-tree
+    stopping rule (``hi − lo ≤ tol`` or the iteration cap), one shared
+    ``f±`` sweep per iteration.  With ``compact=True`` (default) the working
+    set shrinks mid-run (see :data:`_COMPACT_FRACTION`); each tree's
     bisection trajectory is independent of its batch neighbours, so the
     returned ``t`` is bitwise identical either way.
     """
-    comp = bt.comp
     T = bt.num_trees
     if T == 0:
         return np.zeros(0, dtype=np.float64)
-
-    # Upper search limit: the root objective's value can never exceed the sum
-    # of its agents' individual capacities (cf. _search_upper_limit).
-    root_caps = comp.capacity[bt.levels[0].nodes]
-    lvl1 = bt.levels[1]
-    hi0 = root_caps + _reduce_counts_float(comp.capacity[lvl1.nodes], lvl1.root_indptr)
-    if np.isinf(hi0).any():
-        bad = bt.roots[int(np.argmax(np.isinf(hi0)))]
-        raise SolverError(
-            f"agent {comp.agents[bad]!r} has no constraint; "
-            "run preprocessing before the local algorithm"
-        )
+    hi0 = _search_limits(bt)
 
     t = np.zeros(T, dtype=np.float64)
     positive = hi0 > 0.0
@@ -382,11 +466,7 @@ def _batched_bisection(
         n_active = int(w_active.sum())
         if n_active == 0:
             break
-        if (
-            compact
-            and len(w_active) - n_active >= _COMPACT_MIN_DROP
-            and n_active <= _COMPACT_FRACTION * len(w_active)
-        ):
+        if compact and _worth_compacting(len(w_active), n_active):
             lo_full[origin] = w_lo
             keep = np.flatnonzero(w_active)
             cur = cur.select(keep)
@@ -407,9 +487,166 @@ def _batched_bisection(
     obs.count("kernels.bisection_sweeps", iterations)
     obs.count("kernels.bisection_iterations", tree_iterations)
     obs.count("kernels.bisection_compactions", compactions)
+    obs.count("kernels.margin_evaluations", (T if positive.any() else 0) + tree_iterations)
     lo_full[origin] = w_lo
     bisected = positive & ~feasible_at_hi
     t[bisected] = lo_full[bisected]
+    return t
+
+
+def _margins_at(cur: BatchedTrees, positions: np.ndarray, omega: np.ndarray, slope: bool = False):
+    """Margins of trees ``positions`` of ``cur``; every other tree sweeps at ω = 0."""
+    w = np.zeros(cur.num_trees, dtype=np.float64)
+    w[positions] = omega
+    if slope:
+        m, g = _recursion_margins(cur, w, slope=True)
+        return m[positions], g[positions]
+    return _recursion_margins(cur, w)[positions]
+
+
+def _sweep_rows(bt: BatchedTrees, positions: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Margins of trees ``positions`` of ``bt``, on a compacted copy when the policy says so."""
+    if _worth_compacting(bt.num_trees, len(positions)):
+        return _recursion_margins(bt.select(positions), omega)
+    return _margins_at(bt, positions, omega)
+
+
+#: Per-tree phase of :func:`_newton_search`: the ``hi0`` sweep, a Newton
+#: step, the edge probe, finished.
+_START, _NEWTON, _PROBE, _DONE = range(4)
+
+
+def _newton_search(
+    bt: BatchedTrees, rows: np.ndarray, tol: float, max_iterations: int
+) -> np.ndarray:
+    """``t_u`` of trees ``rows`` of ``bt``, bitwise equal to the bisection's.
+
+    Returns ``_batched_bisection(bt.select(rows), tol, max_iterations)`` —
+    the same floats and the same ``kernels.bisection_iterations`` count —
+    from a handful of sweeps per tree instead of ~30.  Every sweep tightens
+    a per-tree bracket ``(A, B)``: margin ≥ 0 at ``A``, < 0 at ``B``.
+
+    1. *Newton from the infeasible side.*  In real arithmetic ``f⁺`` is
+       concave and ``f⁻`` convex (induction over the levels), so the margin
+       is concave, piecewise-linear and non-increasing in ``ω``.  The step
+       ``x = B − m(B)/g(B)`` with the left derivative ``g`` therefore stays
+       at or above the root ``t*``, and lands on it once ``B`` lies on the
+       last linear piece.  It starts from the ``hi0`` sweep; a point that is
+       not finite or not above ``A`` becomes the bracket midpoint.  A tree
+       leaves when a step lands feasible, when Newton cannot move ``B``
+       (``x ≥ B −`` :data:`_STALL_ULPS` ulps) or after :data:`_NEWTON_STEPS`
+       steps.
+    2. *Edge probe.*  One plain sweep :data:`_PROBE_ULPS` ulps inside the end
+       Newton left tight (``A`` after a feasible landing, else ``B``) leaves
+       the bracket a few ulps wide.
+    3. *Bisection replay.*  The oracle's own loop: same ``hi0``, same
+       ``hi − lo > tol`` rule, same iteration cap.  A midpoint ``≤ A`` is
+       feasible and one ``≥ B`` infeasible without a sweep; only trees whose
+       midpoint falls strictly inside ``(A, B)`` are swept, and each result
+       tightens the bracket.  This is exact because the *float* margin is
+       monotone non-increasing in ``ω``: every operation in it (``ω − Σ``,
+       ``max(0, ·)``, ``a·f``, ``1 − ·``, ``/a_self`` with ``a_self > 0``,
+       ``min``, sums in a fixed order) is monotone under IEEE rounding.  So
+       every decision equals the oracle's; Newton only changes how many
+       sweeps run.
+
+    Memory: the batch is never copied up front.  The live set is compacted
+    under the :data:`_COMPACT_FRACTION` policy only, into one copy at a time;
+    below it, the trees that need no sweep ride along at ``ω = 0``.
+    """
+    k = len(rows)
+    hi0 = _search_limits(bt, rows)
+    t = np.zeros(k, dtype=np.float64)
+    A = np.zeros(k, dtype=np.float64)
+    B = hi0.copy()
+    bisect = np.zeros(k, dtype=bool)
+    evaluations = 0
+    newton_steps = 0
+
+    # The trees to sweep next, their phase and their ω.  ``cur`` is ``bt``
+    # itself or one compacted copy of the live trees; ``at`` maps each live
+    # tree to its position in ``cur``.
+    live = np.flatnonzero(hi0 > 0.0)
+    phase = np.full(len(live), _START, dtype=np.int8)
+    omega = hi0[live]
+    cur = bt
+    at = np.array(rows, dtype=np.int64)
+    step = 0
+    while len(live):
+        if _worth_compacting(cur.num_trees, len(live)):
+            cur = None  # release the old copy before building the next
+            cur = bt.select(rows[live])
+            at[live] = np.arange(len(live))
+        stepping = phase != _PROBE
+        if stepping.any():
+            m, g = _margins_at(cur, at[live], omega, slope=True)
+        else:
+            m = _margins_at(cur, at[live], omega)
+        evaluations += len(live)
+        ok = m >= 0.0
+        A[live[ok]] = omega[ok]
+        B[live[~ok]] = omega[~ok]
+        start = phase == _START
+        t[live[start & ok]] = omega[start & ok]
+        bisect[live[start & ~ok]] = True
+        newton_steps += int(np.count_nonzero(phase == _NEWTON))
+
+        nxt = np.full(len(live), _DONE, dtype=np.int8)
+        landed = (phase == _NEWTON) & ok
+        nxt[landed] = _PROBE
+        omega[landed] += _PROBE_ULPS * np.spacing(omega[landed])
+        low = stepping & ~ok
+        if _NEWTON_STEPS and low.any():
+            a, b = A[live[low]], omega[low]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                x = b - m[low] / g[low]
+            finite = np.isfinite(x)
+            stalled = (finite & (x >= b - _STALL_ULPS * np.spacing(b))) | (step >= _NEWTON_STEPS)
+            nxt[low] = np.where(stalled, _PROBE, _NEWTON)
+            omega[low] = np.where(
+                stalled,
+                b - _PROBE_ULPS * np.spacing(b),
+                np.where(finite & (x > a), x, 0.5 * (a + b)),
+            )
+        # A probe that would not fall inside the bracket has nothing to learn.
+        keep = (nxt == _NEWTON) | ((nxt != _DONE) & (omega > A[live]) & (omega < B[live]))
+        live, phase, omega = live[keep], nxt[keep], omega[keep]
+        step += 1
+    del cur
+
+    # The replay: the oracle's bisection over the bisected trees, compressed
+    # to the trees still iterating.
+    idx = np.flatnonzero(bisect)
+    lo = np.zeros(len(idx), dtype=np.float64)
+    hi = hi0[idx]
+    a, b = A[idx], B[idx]
+    iterations = 0
+    tree_iterations = 0
+    while iterations < max_iterations:
+        going = (hi - lo) > tol
+        if not going.all():
+            t[idx[~going]] = lo[~going]
+            idx, lo, hi, a, b = idx[going], lo[going], hi[going], a[going], b[going]
+        if not len(idx):
+            break
+        mid = 0.5 * (lo + hi)
+        above = mid > a
+        unknown = np.flatnonzero(above & (mid < b))
+        if len(unknown):
+            ok = _sweep_rows(bt, rows[idx[unknown]], mid[unknown]) >= 0.0
+            evaluations += len(unknown)
+            above[unknown[ok]] = False
+            a[unknown[ok]] = mid[unknown[ok]]
+            b[unknown[~ok]] = mid[unknown[~ok]]
+        lo = np.where(above, lo, mid)
+        hi = np.where(above, mid, hi)
+        iterations += 1
+        tree_iterations += len(idx)
+    t[idx] = lo
+
+    obs.count("kernels.bisection_iterations", tree_iterations)
+    obs.count("kernels.margin_evaluations", evaluations)
+    obs.count("kernels.newton_steps", newton_steps)
     return t
 
 
@@ -428,20 +665,20 @@ def batched_upper_bounds(
     max_iterations: int = MAX_BISECTION_ITERATIONS,
     targets: Optional[np.ndarray] = None,
     deduplicate: bool = True,
-    compact: bool = True,
 ) -> np.ndarray:
     """``t_u`` per agent (positions ``targets``, default all) — batched.
 
     Builds all alternating trees at once, groups them by canonical signature
-    and computes one ``t_u`` per *distinct* tree: via the simultaneous
-    bisection for ``method="recursion"``, or via one exact tree-LP solve per
+    and computes one ``t_u`` per *distinct* tree: via :func:`_newton_search`
+    (bitwise the bisection's result, from far fewer sweeps) for
+    ``method="recursion"``, or via one exact tree-LP solve per
     representative for ``method="lp"`` (the LP itself is not vectorizable,
-    but symmetric families still collapse to a handful of solves).
-    ``compact`` enables mid-bisection active-set compaction (bitwise-neutral;
-    see :func:`_batched_bisection`).
+    but symmetric families still collapse to a handful of solves).  ``tol``
+    must be finite and non-negative.
     """
     if method not in ("recursion", "lp"):
         raise ValueError(f"unknown t_u method {method!r} (expected 'recursion' or 'lp')")
+    check_bisection_tol(tol)
     bt = build_batched_trees(comp, r, targets)
     if bt.num_trees == 0:
         return np.zeros(0, dtype=np.float64)
@@ -467,56 +704,79 @@ def batched_upper_bounds(
             dtype=np.float64,
         )
     else:
-        rep_bt = bt.select(rep_idx) if len(rep_idx) < bt.num_trees else bt
-        rep_t = _batched_bisection(rep_bt, tol, max_iterations, compact=compact)
+        rep_t = _newton_search(bt, rep_idx, tol, max_iterations)
 
     return rep_t[group_of]
 
 
 def _dedup_groups(bt: BatchedTrees) -> Tuple[np.ndarray, np.ndarray]:
-    """``(representatives, group_of)`` for the canonical-signature dedup.
+    """``(representatives, group_of)`` of the canonical-signature partition.
 
-    Identical partition to grouping by :meth:`BatchedTrees.signatures`
-    alone, computed cheaply: the vectorized grouping keys are mixed into one
-    64-bit hash per tree (equal signature ⇒ equal key ⇒ equal hash), and the
-    Python byte signatures are built only for trees whose hash collides with
-    another tree's — a hash collision between *different* trees merely costs
-    those trees a signature comparison, it can never merge them.  When every
-    hash is unique — the common case for coefficient-perturbed families at
-    medium ``n`` — no byte signature is ever materialised.
+    The partition of grouping by :meth:`BatchedTrees.signatures`, with the
+    first tree of each class as its representative and classes numbered in
+    that order, computed with whole-array operations.  The grouping keys are
+    mixed into one 64-bit hash per tree (equal signature ⇒ equal key ⇒ equal
+    hash); when every hash is unique — the common case for
+    coefficient-perturbed families — every tree is its own class.  Trees
+    whose hash collides are grouped by their exact key rows (equal keys ⇒
+    equal per-level segment lengths), and every member of a key group is
+    compared with the group's first tree, level by level, one
+    gather-and-compare per array (floats through ``uint64`` views, so the
+    check is bitwise like the signatures).  Only a key group that fails —
+    different trees with equal key sums — falls back to byte signatures.
     """
     T = bt.num_trees
     keys = bt.grouping_keys()
-    if keys.shape[1] == 0:
-        hashes = np.zeros(T, dtype=np.uint64)
-    else:
-        bits = np.ascontiguousarray(keys).view(np.uint64)
-        hashes = np.zeros(T, dtype=np.uint64)
-        prime = np.uint64(0x100000001B3)  # FNV-1a style mixing, wraparound intended
-        for j in range(bits.shape[1]):
-            hashes = hashes * prime + bits[:, j]
+    bits = np.ascontiguousarray(keys).view(np.uint64)
+    hashes = np.zeros(T, dtype=np.uint64)
+    prime = np.uint64(0x100000001B3)  # FNV-1a style mixing, wraparound intended
+    for j in range(bits.shape[1]):
+        hashes = hashes * prime + bits[:, j]
     _, inverse, counts = np.unique(hashes, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
-    if int(counts.max()) == 1:
-        rep_idx = np.arange(T, dtype=np.int64)
-        return rep_idx, rep_idx
+    colliding = np.flatnonzero(counts[inverse.reshape(-1)] > 1)
+    label = np.arange(T, dtype=np.int64)
+    if not len(colliding):
+        return label, label
 
-    multi = np.flatnonzero(counts[inverse] > 1)
-    if len(multi) < T:
-        sig_of = dict(zip(multi.tolist(), bt.select(multi).signatures()))
-    else:
-        sig_of = dict(enumerate(bt.signatures()))
-    first_of: Dict[object, int] = {}
-    representatives: List[int] = []
-    group_of = np.empty(T, dtype=np.int64)
-    inv_list = inverse.tolist()
-    for t in range(T):
-        key = (inv_list[t], sig_of.get(t))
-        g = first_of.setdefault(key, len(representatives))
-        if g == len(representatives):
-            representatives.append(t)
-        group_of[t] = g
-    return np.asarray(representatives, dtype=np.int64), group_of
+    sub = keys[colliding]
+    key_rows = sub.view(np.dtype((np.void, sub.dtype.itemsize * sub.shape[1]))).reshape(-1)
+    _, first, key_group = np.unique(key_rows, return_index=True, return_inverse=True)
+    key_group = key_group.reshape(-1)
+    label[colliding] = colliding[first[key_group]]  # the first tree of its key group
+    member = np.flatnonzero(label[colliding] != colliding)
+    differs = _differs_from(bt, colliding[member], label[colliding[member]])
+    if differs.any():
+        fallback = colliding[np.isin(key_group, key_group[member[differs]])]
+        first_of: Dict[bytes, int] = {}
+        for t, sig in zip(fallback.tolist(), bt.select(fallback).signatures()):
+            label[t] = first_of.setdefault(sig, t)
+    representatives, group_of = np.unique(label, return_inverse=True)
+    return representatives, group_of.reshape(-1)
+
+
+def _differs_from(bt: BatchedTrees, members: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Per member, whether its tree differs bitwise from its head's tree.
+
+    Each member must have the same per-level node counts as its head (equal
+    grouping keys guarantee it).  Compares the arrays the byte signature
+    encodes: node capacities, child counts and edge coefficients.
+    """
+    capacity = bt.comp.capacity.view(np.uint64)
+    differs = np.zeros(len(members), dtype=bool)
+    for level in bt.levels:
+        counts = level.root_counts[members]
+        mine = _segment_gather(level.root_indptr[members], counts)
+        theirs = _segment_gather(level.root_indptr[heads], counts)
+        diff = capacity[level.nodes[mine]] != capacity[level.nodes[theirs]]
+        if level.child_indptr is not None:
+            cp = level.child_indptr
+            diff |= (cp[mine + 1] - cp[mine]) != (cp[theirs + 1] - cp[theirs])
+        if level.a_self is not None:
+            for arr in (level.a_self.view(np.uint64), level.a_partner.view(np.uint64)):
+                diff |= arr[mine] != arr[theirs]
+        owner = np.repeat(np.arange(len(members)), counts)
+        differs[owner[diff]] = True
+    return differs
 
 
 def smooth_bounds_kernel(comp: CompiledInstance, t: np.ndarray, r: int) -> np.ndarray:

@@ -41,7 +41,12 @@ from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_special_form
 from ..exceptions import InvalidInstanceError
-from .upper_bound import DEFAULT_BISECTION_TOL, compute_upper_bounds, smooth_upper_bounds
+from .upper_bound import (
+    DEFAULT_BISECTION_TOL,
+    check_bisection_tol,
+    compute_upper_bounds,
+    smooth_upper_bounds,
+)
 
 __all__ = [
     "GRecursionValues",
@@ -299,7 +304,7 @@ class SpecialFormLocalSolver:
     tu_method:
         ``"recursion"`` (binary search, default) or ``"lp"`` (exact tree LP).
     tu_tol:
-        Bisection tolerance when ``tu_method="recursion"``.
+        Bisection tolerance when ``tu_method="recursion"`` (finite, ≥ 0).
     """
 
     def __init__(
@@ -316,7 +321,7 @@ class SpecialFormLocalSolver:
         self.R = R
         self.r = R - 2
         self.tu_method = tu_method
-        self.tu_tol = tu_tol
+        self.tu_tol = check_bisection_tol(tu_tol)
 
     def _run_kernels(self, comp, **span_attrs):
         """``(t, s, g_plus, g_minus, x)`` of the §5 pipeline over compiled arrays."""

@@ -30,6 +30,7 @@ from .alternating_tree import AlternatingTree, build_alternating_tree
 from .tree_recursion import recursion_feasible
 
 __all__ = [
+    "check_bisection_tol",
     "tree_optimum_binary_search",
     "tree_optimum_lp",
     "tree_optimum",
@@ -43,6 +44,20 @@ DEFAULT_BISECTION_TOL = 1e-10
 #: Hard cap on bisection iterations (2^-60 relative precision is far below
 #: every other tolerance in the library).
 MAX_BISECTION_ITERATIONS = 200
+
+
+def check_bisection_tol(tol: float) -> float:
+    """Return ``tol`` if it is a usable bisection tolerance, else raise.
+
+    The tolerance must be finite and non-negative.  A NaN or infinite one
+    makes ``hi − lo > tol`` false at once, so every tree infeasible at the
+    search limit would get ``t_u = 0`` — not an upper bound, silently
+    voiding Theorem 1.  A negative one would only mean "run to the
+    iteration cap".
+    """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"t_u bisection tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _search_upper_limit(tree: AlternatingTree) -> float:

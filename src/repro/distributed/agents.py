@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .._types import NodeType
+from ..algo.upper_bound import check_bisection_tol
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_special_form
@@ -538,7 +539,7 @@ class DistributedLocalSolver:
         measure_bytes: bool = False,
     ) -> None:
         self.schedule = PhaseSchedule(R)
-        self.tu_tol = tu_tol
+        self.tu_tol = check_bisection_tol(tu_tol)
         self.measure_bytes = measure_bytes
 
     @property

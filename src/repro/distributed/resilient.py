@@ -51,6 +51,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from .. import obs
+from ..algo.upper_bound import check_bisection_tol
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..core.validation import require_nondegenerate, require_special_form
@@ -499,7 +500,7 @@ class ResilientLocalSolver:
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     ) -> None:
         self.schedule = PhaseSchedule(R)
-        self.tu_tol = tu_tol
+        self.tu_tol = check_bisection_tol(tu_tol)
         self.retransmit_budget = retransmit_budget
         self.faults = faults
 

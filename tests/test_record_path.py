@@ -15,7 +15,8 @@ Pins the contracts of the vectorized evaluation-and-preparation layer:
 * §4 transform results are cached on the instance per ``verify`` flag —
   an R-sweep over one instance runs the pipeline exactly once, and
   cached transforms never leak across content digests in the engine;
-* mid-bisection active-set compaction is bitwise-neutral.
+* mid-bisection active-set compaction of the ``t_u`` bisection oracle is
+  bitwise-neutral.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.transforms.vectorized as vectorized_mod
-from repro.algo.kernels import _COMPACT_MIN_DROP, batched_upper_bounds
+from repro.algo.kernels import _COMPACT_MIN_DROP, _batched_bisection, build_batched_trees
+from repro.algo.upper_bound import DEFAULT_BISECTION_TOL, MAX_BISECTION_ITERATIONS
 from repro.analysis.ratios import compare_algorithms
 from repro.core.builder import InstanceBuilder
 from repro.core.compiled import stack_compiled
@@ -326,17 +328,28 @@ class TestTransformCache:
 
 
 class TestBisectionCompaction:
+    """Compaction of the bisection oracle (``_batched_bisection``)."""
+
     def _stacked(self):
         parts = [
             cycle_instance(30, coefficient_range=(0.5, 2.0), seed=s) for s in range(3)
         ] + [random_special_form_instance(24, delta_K=3, constraint_rounds=2, seed=8)]
         return stack_compiled([inst.compiled() for inst in parts])
 
+    @staticmethod
+    def _bisect(stacked, r, compact):
+        return _batched_bisection(
+            build_batched_trees(stacked, r),
+            DEFAULT_BISECTION_TOL,
+            MAX_BISECTION_ITERATIONS,
+            compact=compact,
+        )
+
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_compaction_is_bitwise_neutral(self, r):
         stacked = self._stacked()
-        plain = batched_upper_bounds(stacked, r, compact=False)
-        compacted = batched_upper_bounds(stacked, r, compact=True)
+        plain = self._bisect(stacked, r, compact=False)
+        compacted = self._bisect(stacked, r, compact=True)
         assert np.array_equal(plain, compacted)
 
     @pytest.mark.parametrize("r", [0, 1])
@@ -345,10 +358,10 @@ class TestBisectionCompaction:
         import repro.algo.kernels as kernels_mod
 
         stacked = self._stacked()
-        plain = batched_upper_bounds(stacked, r, compact=False, deduplicate=False)
+        plain = self._bisect(stacked, r, compact=False)
         monkeypatch.setattr(kernels_mod, "_COMPACT_MIN_DROP", 1)
         monkeypatch.setattr(kernels_mod, "_COMPACT_FRACTION", 0.99)
-        compacted = batched_upper_bounds(stacked, r, compact=True, deduplicate=False)
+        compacted = self._bisect(stacked, r, compact=True)
         assert np.array_equal(plain, compacted)
 
     def test_min_drop_floor_is_sane(self):

@@ -13,11 +13,13 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
+import threading
 import time
 
 import pytest
 
 from conftest import INVALID_INSTANCE_DOCUMENTS
+import repro.engine.resilience as resilience_mod
 from repro.algo.general_solver import LocalMaxMinSolver
 from repro.engine.resilience import call_with_timeout, leaked_timeout_threads
 from repro.exceptions import JobTimeoutError
@@ -210,17 +212,29 @@ class TestMicroBatcher:
 
 class TestLeakedThreadGauge:
     def test_abandoned_thread_is_counted_then_pruned(self):
-        before = leaked_timeout_threads()
+        # Follow this test's own abandoned thread: threads left by earlier
+        # tests may finish at any moment, so a change in the global count
+        # says nothing about ours.
+        started, release = threading.Event(), threading.Event()
+        own = []
+
+        def sleeper():
+            own.append(threading.current_thread())
+            started.set()
+            release.wait(5.0)
+
         with pytest.raises(JobTimeoutError):
-            call_with_timeout(lambda: time.sleep(0.4), 0.05)
-        assert leaked_timeout_threads() >= before + 1
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if leaked_timeout_threads() <= before:
-                break
-            time.sleep(0.05)
+            call_with_timeout(sleeper, 0.05)
+        assert started.wait(5.0)
+        (thread,) = own
+        assert leaked_timeout_threads() >= 1
+        assert thread in resilience_mod._abandoned_threads
+        release.set()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        leaked_timeout_threads()
         # The abandoned sleeper finished and was pruned from the gauge.
-        assert leaked_timeout_threads() <= before
+        assert thread not in resilience_mod._abandoned_threads
 
 
 # ----------------------------------------------------------------------
