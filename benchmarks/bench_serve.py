@@ -14,6 +14,12 @@ the solo ladder.  This script measures exactly that, on the real
   :class:`~repro.serve.harness.ServeClient` barrages — informational (the
   per-connection transport cost dilutes the ratio), never gated.
 
+* **the ingest row** sends whole instance documents through ``_serve_op``,
+  an embedded object each, with every fourth request re-sending an earlier
+  document compactly re-encoded as a string.  It reports the per-request
+  resolve + admit time (body decode, instance build, digest, registry) and
+  fails if a re-sent document opens a new registry entry.
+
 Both modes run against *one* server per row (same executor width, same
 registry) — serial rows simply send ``coalesce: false`` — and every row
 re-checks that the coalesced responses are bitwise-equal to solo solves.
@@ -43,8 +49,17 @@ if str(BENCH_DIR) not in sys.path:  # allow `import _harness` when run as a scri
 from repro import obs
 from repro.algo.general_solver import LocalMaxMinSolver
 from repro.analysis.reporting import format_table
-from repro.generators import random_special_form_instance
-from repro.serve import AllocationServer, ServeConfig, ServerHandle, chaos_barrage, classify_response
+from repro.generators import random_instance, random_special_form_instance
+from repro.io.serialization import instance_to_json
+from repro.serve import (
+    AllocationServer,
+    InstanceRegistry,
+    ServeConfig,
+    ServerHandle,
+    chaos_barrage,
+    classify_response,
+)
+from repro.serve.protocol import parse_body
 from _harness import write_bench_payload
 
 DEFAULT_OUTPUT = BENCH_DIR / "BENCH_serve.json"
@@ -162,6 +177,83 @@ async def _measure_inprocess(
         await server.drain()
 
 
+# -- in-process ingest row (whole documents, not digests) --------------
+
+
+def _ingest_sequence(docs: List[dict], R: int) -> Tuple[List[bytes], List[int]]:
+    """Request bodies and the document each carries; every fourth is a re-send.
+
+    A re-send repeats the document sent two requests earlier, compactly
+    re-encoded as a string, so only the canonical digest can match it.
+    """
+    bodies: List[bytes] = []
+    carried: List[int] = []
+    for k in range(len(docs)):
+        if len(bodies) % 4 == 3:
+            earlier = carried[-2]
+            text = json.dumps(docs[earlier], separators=(",", ":"))
+            bodies.append(json.dumps({"instance": text, "R": R, "coalesce": False}).encode("utf-8"))
+            carried.append(earlier)
+        bodies.append(json.dumps({"instance": docs[k], "R": R, "coalesce": False}).encode("utf-8"))
+        carried.append(k)
+    return bodies, carried
+
+
+async def _measure_ingest(
+    n: int, count: int, R: int, seed: int, workers: int, repeats: int
+) -> Dict[str, object]:
+    capacity = count + 4  # nothing is evicted: a re-send must find its entry
+    config = ServeConfig(
+        workers=workers, max_pending=8, coalesce_window_s=0.0, registry_capacity=capacity
+    )
+    server = AllocationServer(config)
+    await server.start()
+    try:
+        docs = [
+            json.loads(instance_to_json(random_instance(n, seed=seed + i))) for i in range(count)
+        ]
+        bodies, carried = _ingest_sequence(docs, R)
+
+        # One pass through the whole request path, checking every answer and
+        # that a re-send resolves to the entry its document already has.
+        digest_of: Dict[int, str] = {}
+        new_entries_on_resend = 0
+        start = time.perf_counter()
+        for raw, k in zip(bodies, carried):
+            before = len(server.registry)
+            status, payload = await server._serve_op("solve", raw)
+            if status != 200 or not payload.get("ok"):
+                raise RuntimeError(f"ingest request failed: {status} {payload}")
+            if k in digest_of:
+                grew = len(server.registry) > before
+                new_entries_on_resend += grew or payload["digest"] != digest_of[k]
+            digest_of[k] = payload["digest"]
+        serve_s = time.perf_counter() - start
+
+        # Timed: decode + resolve + admit alone, against an empty registry.
+        best = float("inf")
+        for _ in range(repeats):
+            server.registry = InstanceRegistry(capacity=capacity)
+            start = time.perf_counter()
+            for raw in bodies:
+                server._resolve_entry(parse_body(raw))
+            best = min(best, time.perf_counter() - start)
+        return {
+            "mode": "ingest",
+            "n_agents": n,
+            "documents": count,
+            "requests": len(bodies),
+            "resends": len(bodies) - count,
+            "R": R,
+            "workers": workers,
+            "resolve_admit_ms": round(1000.0 * best / len(bodies), 3),
+            "serve_rps": round(len(bodies) / serve_s, 1),
+            "new_entries_on_resend": new_entries_on_resend,
+        }
+    finally:
+        await server.drain()
+
+
 # -- http rows (informational: real sockets, real clients) -------------
 
 
@@ -261,6 +353,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                     _measure_inprocess(n, batch, args.R, args.seed, args.workers, args.repeats)
                 )
             )
+    ingest_n, ingest_docs = (200, 8) if args.smoke else (1000, 24)
+    ingest = asyncio.run(
+        _measure_ingest(ingest_n, ingest_docs, args.R, args.seed, args.workers, args.repeats)
+    )
     if not args.no_http:
         for n in args.sizes:
             batch = max(args.batches)
@@ -288,6 +384,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             title="bench_serve: coalesced vs per-request dispatch",
         )
     )
+    print(
+        format_table(
+            [ingest],
+            [
+                "n_agents",
+                "documents",
+                "requests",
+                "resends",
+                "resolve_admit_ms",
+                "serve_rps",
+                "new_entries_on_resend",
+            ],
+            title="bench_serve: whole-document ingest",
+        )
+    )
 
     failures: List[str] = []
     for row in rows:
@@ -313,6 +424,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             if coal.get("serve.batch_fallbacks", 0):
                 failures.append(f"coalesced pass fell back to solo dispatch: {coal}")
 
+    if ingest["new_entries_on_resend"]:
+        failures.append(
+            f"{ingest['new_entries_on_resend']} re-sent ingest documents opened a new registry entry"
+        )
+
     payload = {
         "format": "bench-serve-trajectory",
         "version": 1,
@@ -323,6 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "min_speedup_at_floor": args.min_speedup,
         "speedup_floor_batch": args.speedup_floor_batch,
         "rows": rows,
+        "ingest": ingest,
     }
     written = write_bench_payload(
         payload, args.output, smoke=args.smoke, default_output=DEFAULT_OUTPUT

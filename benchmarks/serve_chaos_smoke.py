@@ -29,6 +29,7 @@ from typing import List, Tuple
 
 from repro.faults import FaultPlan, hang, transient
 from repro.generators import random_special_form_instance
+from repro.io.serialization import instance_to_json
 from repro.serve import ServeConfig, ServerHandle, chaos_barrage, classify_response
 
 #: Outcomes a chaotic-but-resilient server is allowed to produce.
@@ -59,7 +60,7 @@ def main() -> int:
 
     failures: List[str] = []
     with ServerHandle(config) as handle:
-        docs = [json.loads(handle.server.registry.admit_instance(i).json_text) for i in instances]
+        docs = [json.loads(instance_to_json(i)) for i in instances]
         digests = [handle.server.registry.admit_instance(i).digest for i in instances]
         requests: List[Tuple[str, dict]] = []
         for i in range(64):

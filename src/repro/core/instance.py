@@ -777,14 +777,10 @@ class MaxMinInstance:
         return self.structurally_equal(other, tol=0.0)
 
     def __hash__(self) -> int:
+        # Only what ``__eq__`` compares, and order-free like it: equal
+        # instances with permuted node orders must hash alike.
         return hash(
-            (
-                self._agents,
-                self._constraints,
-                self._objectives,
-                tuple(sorted(self._a.items(), key=repr)),
-                tuple(sorted(self._c.items(), key=repr)),
-            )
+            (self._agent_set, self._constraint_set, self._objective_set, len(self._a), len(self._c))
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

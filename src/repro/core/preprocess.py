@@ -234,7 +234,8 @@ class _FixedPoint:
 
 
 def _reference_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
-    """The original per-node fixed point (readable oracle)."""
+    """The original per-node fixed point (readable oracle), visiting nodes in
+    canonical order like the array one so the lift never depends on set order."""
     agents: Set[NodeId] = set(instance.agents)
     constraints: Set[NodeId] = set(instance.constraints)
     objectives: Set[NodeId] = set(instance.objectives)
@@ -259,7 +260,7 @@ def _reference_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
         peel_rounds += 1
 
         # Constraints with no surviving agents are trivially satisfied.
-        for i in list(constraints):
+        for i in [i for i in instance.constraints if i in constraints]:
             members = [v for v in instance.agents_of_constraint(i) if v in agents]
             if not members:
                 constraints.discard(i)
@@ -267,22 +268,22 @@ def _reference_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
                 changed = True
 
         # Unconstrained agents: every objective containing one never binds.
-        for v in list(agents):
+        dead_objectives: Set[NodeId] = set()
+        for v in [v for v in instance.agents if v in agents]:
             live_constraints = [i for i in instance.constraints_of_agent(v) if i in constraints]
             if not live_constraints:
                 agents.discard(v)
                 unconstrained.append(v)
                 unconstrained_set.add(v)
-                for k in instance.objectives_of_agent(v):
-                    if k in objectives:
-                        objectives.discard(k)
-                        removed_objectives.append(k)
+                dead_objectives.update(k for k in instance.objectives_of_agent(v) if k in objectives)
                 changed = True
+        removed_objectives.extend(k for k in instance.objectives if k in dead_objectives)
+        objectives -= dead_objectives
 
         # Objectives that lost all their agents (but had some originally)
         # would force the optimum to 0 — unless they were removed above
         # because an unconstrained agent can satisfy them.
-        for k in list(objectives):
+        for k in [k for k in instance.objectives if k in objectives]:
             members = [v for v in instance.agents_of_objective(k) if v in agents]
             originally_empty = not instance.agents_of_objective(k)
             if not members:
@@ -304,7 +305,7 @@ def _reference_fixed_point(instance: MaxMinInstance) -> _FixedPoint:
                 changed = True
 
         # Non-contributing agents: no surviving objective.
-        for v in list(agents):
+        for v in [v for v in instance.agents if v in agents]:
             live_objectives = [k for k in instance.objectives_of_agent(v) if k in objectives]
             if not live_objectives:
                 agents.discard(v)

@@ -45,8 +45,8 @@ class JobSpec:
         The instance in ``repro.maxmin-lp`` JSON form (see
         :func:`repro.io.serialization.instance_to_json`).
     instance_digest:
-        SHA-256 content digest of ``instance_json`` — precomputed so cache
-        keys never require deserializing the instance.
+        :func:`~repro.io.serialization.instance_digest` of the instance —
+        precomputed so cache keys never require deserializing it.
     algorithm:
         Registry name of the algorithm to run (``"local"``, ``"safe"`` or
         ``"lp-optimum"``; see :mod:`repro.engine.registry`).
@@ -168,8 +168,8 @@ def make_jobs_for_instance(
     local algorithm for each ``R`` (ascending over ``R_values`` as given),
     then the safe baseline, then the exact LP row.
     """
-    text = instance_to_json(instance)
-    digest = instance_digest(text)
+    text = instance_to_json(instance)  # what the worker processes decode
+    digest = instance_digest(instance)
     jobs: List[JobSpec] = []
     for R in R_values:
         jobs.append(

@@ -4,6 +4,7 @@ from .graphml import from_networkx, load_graphml, save_graphml, to_networkx
 from .serialization import (
     instance_digest,
     instance_from_json,
+    instance_from_payload,
     instance_to_json,
     load_instance,
     save_instance,
@@ -14,6 +15,7 @@ from .serialization import (
 __all__ = [
     "instance_to_json",
     "instance_from_json",
+    "instance_from_payload",
     "instance_digest",
     "save_instance",
     "load_instance",

@@ -1,4 +1,4 @@
-"""JSON (de)serialization of instances and solutions.
+"""JSON (de)serialization of instances and solutions, and their content digest.
 
 Node identifiers may be arbitrary hashables inside the library (the
 transformation pipeline, for example, creates tuple-shaped ids); on disk we
@@ -12,6 +12,9 @@ raise :class:`SerializationError` at save time instead of being degraded to
 ``repr`` strings (the historical behaviour; documents written by older
 versions with ``repr``-encoded ids are still readable and decode to those
 strings).
+
+:func:`instance_digest` hashes the node lists and CSR arrays, not the JSON
+text, so a decoded document is never serialised again just to be hashed.
 """
 
 from __future__ import annotations
@@ -21,14 +24,21 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Mapping, Union
 
+import numpy as np
+
 from .._types import NodeId
 from ..core.instance import MaxMinInstance
 from ..core.solution import Solution
 from ..exceptions import InvalidInstanceError, SerializationError
 
+#: Tag of the digest scheme; bump it whenever the hashed bytes change, so
+#: results cached under an older scheme become misses instead of collisions.
+DIGEST_VERSION = "repro.maxmin-lp.csr-digest/1"
+
 __all__ = [
     "instance_to_json",
     "instance_from_json",
+    "instance_from_payload",
     "instance_digest",
     "save_instance",
     "load_instance",
@@ -98,17 +108,22 @@ def instance_to_json(instance: MaxMinInstance) -> str:
 
 
 def instance_from_json(text: str) -> MaxMinInstance:
-    """Inverse of :func:`instance_to_json`.
+    """Inverse of :func:`instance_to_json`: ``json.loads`` plus :func:`instance_from_payload`."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"invalid JSON: {exc}") from exc
+    return instance_from_payload(payload)
+
+
+def instance_from_payload(payload: Any) -> MaxMinInstance:
+    """Build an instance from an already-decoded instance document.
 
     Every invalid document raises :class:`SerializationError`; when the
     instance itself is invalid, the :class:`InvalidInstanceError` (or the
     ``ValueError`` of an unparsable coefficient) is its cause and lends it
     its message.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != "repro.maxmin-lp":
         raise SerializationError("not a repro.maxmin-lp document")
     try:
@@ -139,19 +154,25 @@ def instance_from_json(text: str) -> MaxMinInstance:
 def instance_digest(instance: Union[MaxMinInstance, str]) -> str:
     """Stable SHA-256 content digest of an instance.
 
-    The digest is computed over the canonical JSON form produced by
-    :func:`instance_to_json`, so two instances hash equal exactly when their
-    names, node orders and sparse coefficients coincide.  It is stable across
-    processes and interpreter runs (no dependence on ``hash()`` randomisation)
-    and therefore suitable as a content-address for on-disk caches
-    (see :mod:`repro.engine.cache`).
-
-    Accepts either a live instance or a string already produced by
-    :func:`instance_to_json` (so callers that serialised the instance anyway
-    can avoid serialising twice).
+    Hashes a JSON header (:data:`DIGEST_VERSION`, the name, the tagged agent,
+    constraint and objective lists in node order), then the ``<i8``/``<f8``
+    bytes of the compiled view's agent-major CSR (``con_indptr/indices/coeff``,
+    ``obj_indptr/indices/coeff``; every constructor sorts rows by position).
+    Two instances hash equal exactly when their names, node orders and
+    coefficients coincide, whatever their coefficient maps' order.  Stable
+    across processes (no ``hash()`` randomisation), so it addresses on-disk
+    caches (see :mod:`repro.engine.cache`).  A string is parsed first.
     """
-    text = instance if isinstance(instance, str) else instance_to_json(instance)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if isinstance(instance, str):
+        instance = instance_from_json(instance)
+    nodes = (instance.agents, instance.constraints, instance.objectives)
+    header = [DIGEST_VERSION, instance.name, *([_encode_id(x) for x in ids] for ids in nodes)]
+    h = hashlib.sha256(json.dumps(header).encode("utf-8"))
+    comp = instance.compiled()
+    for side in ("con", "obj"):
+        for part, dtype in (("indptr", "<i8"), ("indices", "<i8"), ("coeff", "<f8")):
+            h.update(np.ascontiguousarray(getattr(comp, f"{side}_{part}"), dtype=dtype))
+    return h.hexdigest()
 
 
 def save_instance(instance: MaxMinInstance, path: Union[str, Path]) -> Path:

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .. import obs
 from ..core.instance import MaxMinInstance
-from ..io.serialization import instance_digest, instance_from_json, instance_to_json
+from ..io.serialization import instance_digest
 from .protocol import ServeError
 
 __all__ = ["ResidentInstance", "InstanceRegistry"]
@@ -37,12 +37,11 @@ __all__ = ["ResidentInstance", "InstanceRegistry"]
 class ResidentInstance:
     """One resident instance plus its lazily computed exact optimum."""
 
-    __slots__ = ("digest", "instance", "json_text", "_lp_optimum", "_lp_lock")
+    __slots__ = ("digest", "instance", "_lp_optimum", "_lp_lock")
 
-    def __init__(self, digest: str, instance: MaxMinInstance, json_text: str) -> None:
+    def __init__(self, digest: str, instance: MaxMinInstance) -> None:
         self.digest = digest
         self.instance = instance
-        self.json_text = json_text
         self._lp_optimum: Optional[float] = None
         self._lp_lock = threading.Lock()
 
@@ -87,28 +86,15 @@ class InstanceRegistry:
             self._entries.move_to_end(digest)
             return entry
 
-    def admit_json(self, json_text: str) -> ResidentInstance:
-        """Make the instance encoded by ``json_text`` resident (or touch it)."""
-        digest = instance_digest(json_text)
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                self._entries.move_to_end(digest)
-                return entry
-        # Deserialize outside the lock — it is the expensive part.
-        instance = instance_from_json(json_text)
-        return self._admit(ResidentInstance(digest, instance, json_text))
-
     def admit_instance(self, instance: MaxMinInstance) -> ResidentInstance:
-        """Make a live instance resident (used by preloading and tests)."""
-        json_text = instance_to_json(instance)
-        digest = instance_digest(json_text)
+        """Make a live instance resident (or touch the entry of its digest)."""
+        digest = instance_digest(instance)
         with self._lock:
             entry = self._entries.get(digest)
             if entry is not None:
                 self._entries.move_to_end(digest)
                 return entry
-        return self._admit(ResidentInstance(digest, instance, json_text))
+        return self._admit(ResidentInstance(digest, instance))
 
     def _admit(self, entry: ResidentInstance) -> ResidentInstance:
         evicted: List[str] = []

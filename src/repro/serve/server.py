@@ -65,7 +65,7 @@ from ..engine.cache import ResultCache
 from ..engine.registry import SOLVER_VERSIONS
 from ..engine.resilience import call_with_timeout, leaked_timeout_threads
 from ..exceptions import JobTimeoutError, ReproError, SerializationError
-from ..io.serialization import instance_from_json
+from ..io.serialization import instance_from_json, instance_from_payload
 from .batcher import MicroBatcher
 from .breaker import CircuitBreaker
 from .protocol import (
@@ -399,20 +399,14 @@ class AllocationServer:
     def _resolve_entry(self, body: Dict[str, object]) -> ResidentInstance:
         doc = body.get("instance")
         if doc is not None:
-            if isinstance(doc, str):
-                text = doc
-            elif isinstance(doc, dict):
-                text = json.dumps(doc)
-            else:
+            if not isinstance(doc, (str, dict)):
                 raise ServeError(
                     "bad_request", "'instance' must be the JSON instance document"
                 )
             try:
-                instance = instance_from_json(text)
+                instance = instance_from_json(doc) if isinstance(doc, str) else instance_from_payload(doc)
             except SerializationError as exc:
                 raise ServeError("bad_request", f"invalid instance document: {exc}") from exc
-            # admit_instance re-serializes canonically, so client formatting
-            # never splits one instance across two digests.
             return self.registry.admit_instance(instance)
         digest = body.get("digest")
         if not isinstance(digest, str) or not digest:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from repro.core.instance import MaxMinInstance
 from repro.core.lp import solve_maxmin_lp
 from repro.core.solution import Solution
 from repro.exceptions import InvalidInstanceError
+from repro.io.serialization import instance_to_json
 from repro.generators import (
     cycle_instance,
     objective_ring_instance,
@@ -108,6 +110,11 @@ INVALID_INSTANCE_DOCUMENTS = {
         "could not convert string to float: 'abc'",
     ),
 }
+
+
+def json_text_digest(instance: MaxMinInstance) -> str:
+    """The content digest before it hashed the CSR arrays: SHA-256 of the JSON text."""
+    return hashlib.sha256(instance_to_json(instance).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------

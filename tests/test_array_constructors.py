@@ -109,98 +109,98 @@ FAMILIES: Dict[str, Callable[[], MaxMinInstance]] = {
 #: of the solution in canonical agent order.
 PINNED = {
     "bandwidth": (
-        "42c1183bc39764f4714aca979efe6a4ff6330a4aeb109a94d2ef5d714733a96a",
-        "76bc24a995a08435",
+        "b563959b4e7766c07caa6ec544c1e59622ed250c10797a97b8e6ea71dcbbc992",
+        "b26c8303e420c59f",
         {2: "98696389982e02d0", 3: "cc2b95dab5493719", 5: "78be1d04e424a64d"},
     ),
     "cycle": (
-        "2b1c49dc3624d12c5349de14199dde7fac36a7205bfce1a1b7c04165e20b0374",
-        "2b1c49dc3624d12c",
+        "3d37ddb0ea39a849d5f98d4b59cc6cf88697ccb3b996d65635b850cc8ee8a5d4",
+        "3d37ddb0ea39a849",
         {2: "c4e9a20b6727f901", 3: "37a3ed559acdccc5", 5: "8de68ec2474499c2"},
     ),
     "defect_cycle": (
-        "4c78ecaa2b3d6778431c057a0cc0834c894090650df36d54a9e4b2bd513285a6",
-        "4c78ecaa2b3d6778",
+        "717804f7c5afe028502d2f0c8c535df1168b9bec786fef32ae3dffec6c37a904",
+        "717804f7c5afe028",
         {2: "ece23c986db1aa59", 3: "073a8d1547762b4f", 5: "64beeb3778467200"},
     ),
     "degenerate": (
-        "4f8e264b9b10702884ed8c95d3c3f8ab9d34986b732e8c8d71334baeaa0e74fa",
-        "5227b12f606fb5bf",
+        "43090384599b41b7454d090d94186a7cb31db0a932da8a01556b0c673b6d0fdf",
+        "8153d7e7f1cb50e3",
         {2: "7e8a9330db06fb30", 3: "7e8a9330db06fb30", 5: "7e8a9330db06fb30"},
     ),
     "general": (
-        "ced7be66a89b8b2b430bc01e1e48a98a89fe0f754aa470061a57a50b6498a6a1",
-        "908d9117569ccdfe",
+        "04b79c18dac91932eade328ce475864025923459de9218daf48ff2e1151e308c",
+        "c9104014c3afb702",
         {2: "78defd1d90c59453", 3: "cca9f0a6ee3a47ac", 5: "37dcd08d723c28b4"},
     ),
     "half_half": (
-        "85a6e7da3846918206518089cb16947172e1d5eab4fd5fbc07bfd88478182488",
-        "85a6e7da38469182",
+        "169c0d040df4fee4562e72378f628a9bb6a90a5656ee30408e75da057cad41d3",
+        "169c0d040df4fee4",
         {2: "efc54da85419d805", 3: "fc54310f1c1f4d19", 5: "60e8ced2277ec222"},
     ),
     "hard_ring": (
-        "3691bbbbc801d188b7beb9b528ba0ca7460034bc3331c14bafb7c1de463badd4",
-        "3691bbbbc801d188",
+        "bbc01cb93b45fb1ea3758681eed54ade313296eae6e32905e810e2c66af94244",
+        "bbc01cb93b45fb1e",
         {2: "c053d721fc48db66", 3: "430ccb6951ccf963", 5: "0b2646833d6b0860"},
     ),
     "indistinguishable": (
-        "616dc98b77ea8fa4e6c7cf6254c59814d6abe9954c61a4b7b5a2bee020ca78f5",
-        "616dc98b77ea8fa4",
+        "96d577646192d58093674a9942cf959158296f30c6e67d194e3bc7a9d89bf9a6",
+        "96d577646192d580",
         {2: "2d9fb84e29be3f82", 3: "bbf68c23578b114b", 5: "6fa52218876c1bb4"},
     ),
     "jitter": (
-        "751ec1c46960b45597f134b8636d389fb5f1701205592b6665ee4a02df400e83",
-        "53d99d5846582b20",
+        "4f42a7377a467ed1bd00e13645bdc3eceb5ec6b3a80724a6d394ca007aa53b7b",
+        "231ca4d9590cf79a",
         {2: "c9ccfc5a6a816eab", 3: "f8240ab89970a129", 5: "467b547824460f8c"},
     ),
     "objective_ring": (
-        "24f0902178163fa8acae8c32381419abfc60bbee568d1f20813b5e0ba1d66bbb",
-        "24f0902178163fa8",
+        "e12fdb87fdd97a5be318b9cea4d61f48dee1f3279461f9a180cd856daff421c9",
+        "e12fdb87fdd97a5b",
         {2: "27644ac8399f3bdc", 3: "3c549879e88cac24", 5: "3317df2cb618ccf2"},
     ),
     "perturb": (
-        "21010606e510a6b48248d693030c09720152835209ba6fab7f6d11afa71da0a5",
-        "76174769735e6e9a",
+        "f565c0817ddc3f0153fbfb5d4b2c2da0c71012f8b712fcd85d7cbc2bcc6cc24e",
+        "1ff1df27b39bccd0",
         {2: "acaed34d85752f78", 3: "418be620ed2fc093", 5: "bf77d1ad52134a9f"},
     ),
     "random": (
-        "1cbfff7b98c40d4fe62744af39288d3b220269ee0a224f417dcc70dc316f4ac6",
-        "28f4f7949d34a85c",
+        "a76ca2132c0cd52af099a2503dacc27d4de532c1bc4c42921ad76612590595d9",
+        "97431a78b1e101f2",
         {2: "eb0c54b5cee5d14c", 3: "23fa9b4e9e45481d", 5: "ba628b8c3811432a"},
     ),
     "random_special_form": (
-        "1711c712ec26f2f1b4b8fd1ebbceb8e009070f7e4aef6b9d0c0a64c5bebd79f0",
-        "1711c712ec26f2f1",
+        "d511fed027ccc16f4ed599f537be226791e3ab7c419af1e6f167b46fddd7bead",
+        "d511fed027ccc16f",
         {2: "30960baba038151c", 3: "370a981d75e5a96a", 5: "98dba501d3413dd6"},
     ),
     "random_zero_one": (
-        "c8a3f407c2e998270baed8dc9b8e75c7d93a395a5c11aeefbc382249e4ac1bea",
-        "7a7dbd99cd8af69e",
+        "6edd6156999e56c54cf3a85d81b1eaef7445cf292f110a20d7547dd03d7f542e",
+        "790230737ed080ce",
         {2: "01052a1e65daa97f", 3: "48d67955f7e1d317", 5: "e5409b7f2e809100"},
     ),
     "regular_general": (
-        "05cb1670d07363373f69580d1cb29341a1e809a2d5470fd4bf5c68b48c714d97",
-        "983bc4df9d53978b",
+        "550f617ec369c95ab53dcc5ef48953d506c79b65075e516ea7d5481d63609cab",
+        "ace0654562b9af17",
         {2: "80f73e9229011bb3", 3: "83f2cb83441adbc8", 5: "eac21a76ffb78329"},
     ),
     "regular_special_form": (
-        "72a719631029776d40e33ba5323c2a0eec8c5c57982897d9b870ac717f93a68f",
-        "72a719631029776d",
+        "5ea675b488ab5acfd5a4218eca70a83db41264e020257b368b760d2893a65d8c",
+        "5ea675b488ab5acf",
         {2: "e468fadab2cd6829", 3: "b3952e5a36050ae7", 5: "f87570c6d017032b"},
     ),
     "sensor": (
-        "1e9be66c566f60d0dbf27d564767d35e46bd6ad3fb787eab4a4528ed596905c5",
-        "f237850056e46c12",
+        "85e8302006ba3417d0c5ab80373b4f4f263d5a3f794e786fb0393028dc58fe30",
+        "266f5ef423957a16",
         {2: "5a69a4970b7246a3", 3: "3a0d6e0c98b210d4", 5: "1a6e1b1c56392889"},
     ),
     "tiny": (
-        "ad4a2424c54b3280ae6655583993360e1f4ba0ed093d5f367ad66920095106fa",
-        "ad4a2424c54b3280",
+        "b90a7360991af7ef39f43912bb9ff4238d5c3fe13ab024a6b2d5999e3356839c",
+        "b90a7360991af7ef",
         {2: "19210efe34eaa7fe", 3: "19210efe34eaa7fe", 5: "19210efe34eaa7fe"},
     ),
     "torus": (
-        "45ac769a71abba250158b606cea21283f1fab75abfd0d21265cfb3953efde262",
-        "f5719f242be054e4",
+        "90b0fa48f749112ed3bc8efa9ef46b99aede502e0067fcd64bd519a1766a924e",
+        "b83ab42ad373e245",
         {2: "ded43d84db1a7f4c", 3: "96670da0139e8a63", 5: "85b02defd0f90daa"},
     ),
 }

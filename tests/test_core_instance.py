@@ -209,6 +209,15 @@ class TestEqualityAndSerialization:
         assert first != build_general_instance()
         assert first != "not an instance"
 
+    def test_hash_ignores_node_order_like_eq(self):
+        a = {("i", "u"): 1.0, ("i", "v"): 2.0}
+        c = {("k", "u"): 1.0, ("k", "v"): 1.0}
+        first = MaxMinInstance(["u", "v"], ["i"], ["k"], a, c)
+        second = MaxMinInstance(["v", "u"], ["i"], ["k"], a, c)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
     def test_structural_equality_with_tolerance(self, tiny_instance):
         perturbed = MaxMinInstance(
             tiny_instance.agents,

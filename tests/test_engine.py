@@ -17,6 +17,7 @@ The engine's contracts, in decreasing order of importance:
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import replace
 
 import pytest
@@ -26,11 +27,13 @@ from hypothesis import strategies as st
 from repro.analysis.ratios import compare_algorithms
 from repro.analysis.sweeps import run_ratio_sweep, run_ratio_sweep_batch
 from repro.cli import main as cli_main
+from repro.core.instance import MaxMinInstance
 from repro.engine import (
     BatchSpec,
     JobSpec,
     ParallelExecutor,
     ResultCache,
+    SOLVER_VERSIONS,
     SerialExecutor,
     default_executor,
     execute_job,
@@ -41,9 +44,9 @@ from repro.engine import (
 from repro.engine import registry
 from repro.exceptions import EngineError
 from repro.generators import cycle_instance, random_special_form_instance
-from repro.io.serialization import instance_digest, instance_to_json
+from repro.io.serialization import instance_digest, instance_from_json, instance_to_json
 
-from conftest import special_form_family
+from conftest import json_text_digest, special_form_family
 
 
 def small_family():
@@ -82,6 +85,38 @@ class TestInstanceDigest:
             name="other-name",
         )
         assert instance_digest(renamed) != instance_digest(tiny_instance)
+
+    def test_sensitive_to_last_coefficient_bit_and_agent_order(self, general_instance):
+        inst = general_instance
+        (key, value), *_ = inst.a_coefficients.items()
+        bits = struct.unpack("<Q", struct.pack("<d", value))[0] ^ 1
+        flipped = dict(inst.a_coefficients)
+        flipped[key] = struct.unpack("<d", struct.pack("<Q", bits))[0]
+        nudged = MaxMinInstance(
+            inst.agents, inst.constraints, inst.objectives, flipped, inst.c_coefficients, name=inst.name
+        )
+        assert instance_digest(nudged) != instance_digest(inst)
+        agents = list(inst.agents)
+        agents[0], agents[1] = agents[1], agents[0]
+        swapped = MaxMinInstance(
+            agents, inst.constraints, inst.objectives, inst.a_coefficients, inst.c_coefficients, name=inst.name
+        )
+        assert swapped == inst  # equal as values, but node order is content
+        assert instance_digest(swapped) != instance_digest(inst)
+
+    def test_blind_to_coefficient_map_order(self, general_instance):
+        inst = general_instance
+        shuffled = MaxMinInstance(
+            inst.agents,
+            inst.constraints,
+            inst.objectives,
+            dict(reversed(list(inst.a_coefficients.items()))),
+            dict(reversed(list(inst.c_coefficients.items()))),
+            name=inst.name,
+        )
+        assert list(shuffled.a_coefficients) != list(inst.a_coefficients)
+        assert instance_digest(shuffled) == instance_digest(inst)
+        assert instance_digest(instance_to_json(shuffled)) == instance_digest(inst)
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +452,24 @@ class TestBatchedDispatch:
             version, old_params = legacy[spec.algorithm]
             old_spec = replace(spec, params=tuple(sorted({**spec.param_dict(), **old_params}.items())))
             cache.put(old_spec.cache_key(version), [{"stale": True}])
+        result = run_batch(batch, cache=cache)
+        assert result.cached_jobs == 0
+        assert result.executed_jobs == len(batch.jobs) == 3
+        assert cache.stats()["misses"] == 3 and cache.stats()["hits"] == 0
+        assert all("stale" not in record for record in result.records)
+
+    def test_json_text_digest_entries_are_counted_misses(self, tmp_path):
+        """Entries keyed by the SHA-256 of the instance's JSON text are never reused.
+
+        That was the digest before it hashed the CSR arrays; a cache full of
+        those keys must make every job of a re-run a counted miss.
+        """
+        batch = ratio_sweep_batch(small_family()[:1], R_values=(2, 3))
+        cache = ResultCache(tmp_path / "cache")
+        for spec in batch.jobs:
+            old_spec = replace(spec, instance_digest=json_text_digest(instance_from_json(spec.instance_json)))
+            assert old_spec.instance_digest != spec.instance_digest
+            cache.put(old_spec.cache_key(SOLVER_VERSIONS[spec.algorithm]), [{"stale": True}])
         result = run_batch(batch, cache=cache)
         assert result.cached_jobs == 0
         assert result.executed_jobs == len(batch.jobs) == 3

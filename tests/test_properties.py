@@ -237,6 +237,17 @@ def test_json_roundtrip(instance):
 
 
 @slow_settings
+@given(general_instances(), st.randoms(use_true_random=False))
+def test_permuted_node_orders_keep_eq_and_hash(instance, rng):
+    orders = [list(nodes) for nodes in (instance.agents, instance.constraints, instance.objectives)]
+    for nodes in orders:
+        rng.shuffle(nodes)
+    permuted = MaxMinInstance(*orders, instance.a_coefficients, instance.c_coefficients, name=instance.name)
+    assert permuted == instance
+    assert hash(permuted) == hash(instance)
+
+
+@slow_settings
 @given(general_instances())
 def test_dict_roundtrip(instance):
     assert MaxMinInstance.from_dict(instance.to_dict()) == instance

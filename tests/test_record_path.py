@@ -89,6 +89,21 @@ def fixed_instances():
             MaxMinInstance([], [], [], {}, {}, name="empty"),
             MaxMinInstance(["a"], [], ["k"], {}, {("k", "a"): 1.0}, name="unbounded"),
             MaxMinInstance(["a"], ["i"], [], {("i", "a"): 1.0}, {}, name="no-objectives"),
+            # Two unconstrained agents share k4: the lift's result depends on
+            # the order removed objectives are visited (found by hypothesis).
+            MaxMinInstance(
+                ["v0", "v1", "v2"],
+                ["i0"],
+                ["k0", "k1", "k2", "k3", "k4"],
+                {("i0", "v1"): 1.0},
+                {
+                    **{(k, "v0"): 1.0 for k in ("k0", "k1", "k2")},
+                    ("k3", "v1"): 1.0,
+                    ("k4", "v0"): 0.234375,
+                    ("k4", "v2"): 1.0,
+                },
+                name="lift-order",
+            ),
         ]
     )
 
@@ -100,6 +115,8 @@ def assert_preprocess_equivalent(instance: MaxMinInstance) -> None:
     assert set(ref.unconstrained_agents) == set(vec.unconstrained_agents)
     assert set(ref.removed_constraints) == set(vec.removed_constraints)
     assert set(ref.removed_objectives) == set(vec.removed_objectives)
+    # The lift walks removed objectives in order: it must not depend on set order.
+    assert ref.removed_objectives == vec.removed_objectives
     assert ref.optimum_is_zero == vec.optimum_is_zero
     assert ref.optimum_is_unbounded == vec.optimum_is_unbounded
     assert ref.changed == vec.changed

@@ -13,12 +13,13 @@ from __future__ import annotations
 import asyncio
 import collections
 import json
+import random
 import threading
 import time
 
 import pytest
 
-from conftest import INVALID_INSTANCE_DOCUMENTS
+from conftest import INVALID_INSTANCE_DOCUMENTS, json_text_digest
 import repro.engine.resilience as resilience_mod
 from repro.algo.general_solver import LocalMaxMinSolver
 from repro.engine.resilience import call_with_timeout, leaked_timeout_threads
@@ -28,6 +29,7 @@ from repro.faults.plan import hang, transient
 from repro.generators import random_special_form_instance
 from repro.io.serialization import instance_digest, instance_to_json
 from repro.serve import (
+    AllocationServer,
     CircuitBreaker,
     InstanceRegistry,
     ServeConfig,
@@ -96,16 +98,28 @@ class TestInstanceRegistry:
         assert "re-send" in str(excinfo.value)
 
     def test_admit_is_idempotent_and_canonical(self):
-        registry = InstanceRegistry(capacity=4)
-        (inst,) = make_instances(1, size=6)
-        entry = registry.admit_instance(inst)
-        # Client-side formatting must not split one instance into two
-        # digests: a re-indented document admits to the same entry.
-        doc = json.loads(instance_to_json(inst))
-        again = registry.admit_json(instance_to_json(inst))
-        assert again.digest == entry.digest and len(registry) == 1
-        assert json.dumps(doc)  # the pretty-printed form exists
-        assert registry.digests() == [entry.digest]
+        server = AllocationServer(ServeConfig(registry_capacity=4))
+        registry = server.registry
+        try:
+            (inst,) = make_instances(1, size=6)
+            entry = registry.admit_instance(inst)
+            # Client-side formatting must not split one instance into two
+            # digests: compact, key-shuffled and row-reversed documents, sent
+            # as text or as an embedded object, all resolve to one entry.
+            doc = json.loads(instance_to_json(inst))
+            items = list(doc.items())
+            random.Random(7).shuffle(items)
+            shuffled = dict(items)
+            assert list(shuffled) != list(doc)
+            reversed_rows = {**doc, "a": doc["a"][::-1], "c": doc["c"][::-1]}
+            for form in (doc, shuffled, reversed_rows):
+                for sent in (json.dumps(form, separators=(",", ":")), form):
+                    again = server._resolve_entry({"instance": sent})
+                    assert again.digest == entry.digest and len(registry) == 1
+            assert json.dumps(doc)  # the pretty-printed form exists
+            assert registry.digests() == [entry.digest]
+        finally:
+            server._executor.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +352,24 @@ class TestServerBasics:
             status, second = client.solve(instance=inst)
             assert status == 200 and second["cached"]
             assert second["result"] == first["result"]
+
+    def test_json_text_digest_entries_are_counted_misses(self, tmp_path):
+        """A cache tier filled under the old JSON-text digests never answers."""
+        (inst,) = make_instances(1)
+        with ServerHandle(ServeConfig(workers=1, cache_dir=str(tmp_path / "cache"))) as handle:
+            server = handle.server
+            stale = {"result": {"utility": -1.0, "stale": True}, "meta": {"algorithm": "local"}}
+            for R in (2, 3):
+                key = server._cache_key(json_text_digest(inst), server._solve_params({"R": R}))
+                server.cache.put(key, [stale])
+            client = handle.client(timeout_s=10)
+            for R in (2, 3):
+                status, payload = client.solve(instance=inst, R=R)
+                assert status == 200 and not payload["cached"]
+                assert "stale" not in payload["result"]
+            status, metrics = client.metrics()
+            assert "serve.cache_hits" not in metrics["counters"]
+            assert metrics["cache"]["hits"] == 0 and metrics["cache"]["misses"] == 2
 
     def test_drain_stops_serving(self):
         handle = ServerHandle(ServeConfig(workers=1))
